@@ -28,7 +28,6 @@ from repro.core import (
     central_assignment,
     collect_bit_reports,
 )
-from repro.core.squashing import threshold_from_noise_multiple
 from repro.data.census import sample_ages
 from repro.experiments.methods import mean_methods
 from repro.metrics.execution import TrialExecutor
@@ -192,11 +191,3 @@ def figure_4c(
     )
     return results
 
-
-def squash_threshold_for(multiple: float, epsilon: float, n_clients: int, n_bits: int) -> float:
-    """Absolute squash threshold implied by a noise multiple (for reporting).
-
-    Approximates per-bit counts by the uniform share ``n / b``.
-    """
-    counts = np.full(n_bits, n_clients / n_bits)
-    return threshold_from_noise_multiple(multiple, epsilon, counts)

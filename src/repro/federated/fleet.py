@@ -13,8 +13,11 @@ optionally maps to real ``asyncio.sleep`` time via ``time_scale``.
 
 Determinism: each client owns an independent generator spawned from the fleet
 seed (``SeedSequence(seed).spawn(n)``), and per announcement draws in a fixed
-order -- randomized response first, then the network emulation -- so
-:func:`repro.federated.serve.in_process_estimate` can replay the exact stream.
+order -- randomized response first, then the network emulation.  The fleet is
+only the client half of a round: quorum, retry and reconstruction run in the
+server's :class:`~repro.federated.server.RoundLifecycle`, which
+:func:`repro.federated.serve.in_process_estimate` drives too while replaying
+these per-client streams, so the twin and the served round stay bit-identical.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Asyncio round server: federated rounds over real wire-protocol sockets.
 
-This is the step that turns "simulation" into "system" (ROADMAP item 3): the
-same round state machine :class:`~repro.federated.server.FederatedMeanQuery`
-drives in-process -- cohort announcement, report collection under a deadline,
-quorum/degradation with retry -- executed against a TCP client fleet speaking
-:mod:`repro.federated.wire` frames inside length-prefixed control messages.
+A served round runs the attempt lifecycle of the in-process
+:class:`~repro.federated.server.FederatedMeanQuery`: one
+:class:`~repro.federated.server.RoundLifecycle` per round owns quorum,
+degradation, retry with simulated backoff, the per-round metrics and the
+estimate's metadata.  This module adds only the transport -- registration,
+cohort announcement, report collection under a deadline, wire rejects and
+telemetry -- against a TCP client fleet speaking :mod:`repro.federated.wire`
+frames inside length-prefixed control messages.
 
 Protocol, per connection::
 
@@ -28,7 +31,9 @@ fleet records ``fleet.*`` child spans against it, and after RESULT/ABORT each
 client ships them back in one TELEMETRY message.  The server remaps the span
 ids, aligns client clocks using the HELLO handshake offset, stamps the spans
 ``remote``, and exports them through its own tracer -- one merged, causally
-linked timeline per round, strictly off the uplink hot path.
+linked timeline per round.  Telemetry is not free: on a 1,024-client loopback
+round it costs about a quarter of the round's wall time (the ``perfbench``
+``serve.telemetry_cost_frac`` layer, ~0.25 on a 2-vCPU Xeon; ROADMAP item 0).
 
 Determinism: the server consumes its seeded generator exactly as the
 in-process basic-mode round does -- one :func:`central_assignment` draw per
@@ -49,12 +54,12 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import bit_means_from_stats
-from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.results import MeanEstimate
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError, ProtocolError, RoundFailedError
 from repro.federated.fleet import ClientFleet, EmulationProfile, FleetResult, read_message
 from repro.federated.retry import RetryPolicy
+from repro.federated.server import RoundLifecycle, RoundOutcome, round_estimate
 from repro.federated.wire import (
     FLAG_RANDOMIZED_RESPONSE,
     MSG_ABORT,
@@ -72,7 +77,7 @@ from repro.federated.wire import (
     encode_announce,
     encode_message,
 )
-from repro.observability import get_metrics, get_tracer
+from repro.observability import NULL_METRICS, NULL_TRACER, NullSpan, get_metrics, get_tracer
 from repro.observability.tracing import SpanRecord
 from repro.privacy.randomized_response import RandomizedResponse
 from repro.rng import ensure_rng
@@ -128,9 +133,10 @@ class ServeConfig:
         Bind address; port ``0`` picks an ephemeral port.
     telemetry:
         Ship trace context in every ANNOUNCE and ingest the fleet's
-        TELEMETRY messages after RESULT/ABORT (default on).  Telemetry is
-        strictly off the uplink hot path: disabling it only removes the
-        post-round ingestion drain and the context fields.
+        TELEMETRY messages after RESULT/ABORT (default on).  It is not free:
+        a 1,024-client loopback round runs ~25% faster with it off
+        (``serve.telemetry_cost_frac`` ~0.25 in ``perfbench``'s traced pass
+        on a 2-vCPU Xeon; ROADMAP item 0 tracks the cost).
     telemetry_timeout_s:
         How long to wait for the fleet's telemetry after broadcasting the
         round outcome before sealing the artifact without it.
@@ -755,7 +761,6 @@ class RoundServer:
         """Run the full round state machine against the connected fleet."""
         cfg = self.config
         tracer = get_tracer()
-        metrics = get_metrics()
         gen = ensure_rng(cfg.seed)
         n = cfg.n_clients
         if tracer.enabled:
@@ -785,57 +790,41 @@ class RoundServer:
                 reg_span.set_attribute("registered", registered)
             session_span.set_attribute("registered", registered)
 
-            max_attempts = cfg.retry.max_attempts if cfg.retry is not None else 1
-            history: list[tuple[int, int]] = []
-            backoff_total = 0.0
-            attempt = 1
+            lifecycle = _lifecycle(cfg)
             while True:
                 try:
-                    accepted, duration = await self._run_attempt(gen, attempt)
+                    outcome = lifecycle.finish(await self._run_attempt(gen, lifecycle))
+                    break
                 except RoundFailedError as exc:
-                    history.append((exc.planned, exc.survived))
-                    if attempt >= max_attempts:
-                        await self._broadcast_control(
-                            MSG_ABORT,
-                            {"reason": str(exc), "attempt": attempt},
-                            attempt,
-                        )
-                        # Best-effort: an aborted round's artifact still
-                        # deserves the fleet's side of the story.
-                        await self._drain_telemetry(attempt)
-                        raise
-                    backoff = cfg.retry.backoff_s(attempt)
-                    backoff_total += backoff
-                    metrics.counter("round_retries_total").inc()
-                    with tracer.span(
-                        "round.retry",
-                        {
-                            "round_index": 1,
-                            "failed_attempt": attempt,
-                            "next_attempt": attempt + 1,
-                            "backoff_s": backoff,
-                            "survived": exc.survived,
-                            "planned": exc.planned,
-                            "reason": str(exc),
-                        },
-                    ):
-                        pass
-                    attempt += 1
-                    continue
-                history.append((n, len(accepted)))
-                break
-
-            estimate = self._reconstruct(
-                accepted, attempt, history, backoff_total, duration
+                    if lifecycle.retry(exc):
+                        continue
+                    attempt = lifecycle.attempt
+                    await self._broadcast_control(
+                        MSG_ABORT, {"reason": str(exc), "attempt": attempt}, attempt
+                    )
+                    # Best-effort: an aborted round's artifact still
+                    # deserves the fleet's side of the story.
+                    await self._drain_telemetry(attempt)
+                    raise
+            attempt = outcome.attempts
+            estimate = _estimate(
+                cfg,
+                outcome,
+                "federated-served",
+                served=True,
+                transport="tcp",
+                port=self.port,
+                wire_rejects=self._rejects,
+                late_reports=self._late,
+                telemetry=cfg.telemetry,
+                trace_id=self.trace_id if cfg.telemetry else None,
             )
-            survived = len(accepted)
-            degraded = survived < cfg.degraded_fraction * n
             await self._broadcast_control(
                 MSG_RESULT,
                 {
                     "estimate": float(estimate.value),
                     "attempt": attempt,
-                    "survivors": survived,
+                    "survivors": outcome.surviving_clients,
                 },
                 attempt,
             )
@@ -848,27 +837,27 @@ class RoundServer:
             return ServeResult(
                 estimate=estimate,
                 planned_clients=n,
-                surviving_clients=survived,
+                surviving_clients=outcome.surviving_clients,
                 registered_clients=registered,
                 attempts=attempt,
-                degraded=degraded,
-                backoff_s=backoff_total,
+                degraded=outcome.degraded,
+                backoff_s=outcome.backoff_s,
                 wire_rejects=self._rejects,
                 late_reports=self._late,
-                duration_s=duration,
+                duration_s=outcome.round_duration_s,
                 port=self.port or 0,
                 telemetry_clients=self._telemetry_clients,
                 remote_spans=self._remote_spans,
             )
 
     async def _run_attempt(
-        self, gen: np.random.Generator, attempt: int
-    ) -> tuple[dict[int, tuple[int, int]], float]:
-        """One attempt: assign, announce, collect, enforce quorum."""
+        self, gen: np.random.Generator, lifecycle: RoundLifecycle
+    ) -> RoundOutcome:
+        """One attempt: assign, announce, collect, then the shared quorum and completion."""
         cfg = self.config
         tracer = get_tracer()
-        metrics = get_metrics()
         n = cfg.n_clients
+        attempt = lifecycle.attempt
         with tracer.span(
             "serve.round",
             {"round_index": 1, "planned_clients": n, "attempt": attempt},
@@ -876,7 +865,7 @@ class RoundServer:
             round_span_id = getattr(round_span, "span_id", None)
             if round_span_id is not None:
                 self._attempt_spans[attempt] = round_span_id
-            metrics.counter("round_attempts_total").inc()
+            lifecycle.metrics.counter("round_attempts_total").inc()
             with tracer.span("round.assign", {"n_bits": cfg.n_bits, "n_clients": n}):
                 assignment = central_assignment(n, cfg.schedule, gen)
             with tracer.span(
@@ -888,102 +877,74 @@ class RoundServer:
                 )
             accepted, duration, accept_log = await self._collect(attempt, assignment)
             self._record_uplink_timings(attempt, announce_wall, accept_log, round_span)
-            survived = len(accepted)
-            metrics.counter("round_reports_planned_total").inc(n)
-            metrics.counter("round_reports_delivered_total").inc(survived)
-            metrics.counter("round_reports_lost_total").inc(n - survived)
-            round_span.set_attribute("surviving_clients", survived)
-            round_span.set_attribute("round_duration_s", duration)
-            if survived < cfg.min_quorum:
-                metrics.counter("rounds_failed_total").inc()
-                round_span.set_attribute("failed", True)
-                if survived == 0:
-                    message = "every client dropped out of the round"
-                else:
-                    message = (
-                        f"round 1 attempt {attempt}: {survived} "
-                        f"survivors below quorum {cfg.min_quorum}"
-                    )
-                raise RoundFailedError(message, planned=n, survived=survived)
-            metrics.counter("rounds_total").inc()
-            if survived < cfg.degraded_fraction * n:
-                round_span.set_attribute("degraded", True)
-                metrics.counter("rounds_degraded_total").inc()
-            return accepted, duration
+            return _complete(cfg, lifecycle, round_span, accepted, duration)
 
-    def _reconstruct(
-        self,
-        accepted: dict[int, tuple[int, int]],
-        attempts: int,
-        history: list[tuple[int, int]],
-        backoff_s: float,
-        duration_s: float,
-    ) -> MeanEstimate:
-        """Fold accepted reports into the mean estimate (in-process arithmetic)."""
-        cfg = self.config
-        encoder = cfg.encoder
-        n = cfg.n_clients
-        survived = len(accepted)
-        with get_tracer().span(
-            "serve.reconstruct", {"n_bits": cfg.n_bits, "reports": survived}
-        ) as span:
-            indices = np.fromiter(
-                (bi for bi, _bit in accepted.values()), dtype=np.int64, count=survived
-            )
-            bits = np.fromiter(
-                (bit for _bi, bit in accepted.values()), dtype=np.float64, count=survived
-            )
-            counts = np.bincount(indices, minlength=cfg.n_bits).astype(np.int64)
-            sums = np.bincount(indices, weights=bits, minlength=cfg.n_bits)
-            perturbation = (
-                RandomizedResponse(epsilon=cfg.epsilon) if cfg.epsilon is not None else None
-            )
-            means = bit_means_from_stats(sums, counts, perturbation)
-            encoded_mean = float(encoder.powers @ means)
-            value = encoder.decode_scalar(encoded_mean)
-            span.set_attribute("estimate", value)
-        summary = RoundSummary(
-            probabilities=cfg.schedule.probabilities,
-            counts=counts,
-            sums=means * counts,
-            bit_means=means,
-            n_clients=survived,
+
+def _lifecycle(config: ServeConfig, **overrides: Any) -> RoundLifecycle:
+    """The served round's shared attempt lifecycle (one basic round, no health hook)."""
+    perturbation = (
+        RandomizedResponse(epsilon=config.epsilon) if config.epsilon is not None else None
+    )
+    return RoundLifecycle(
+        config.n_bits,
+        perturbation,
+        config.min_quorum,
+        config.degraded_fraction,
+        config.retry,
+        **overrides,
+    )
+
+
+def _complete(
+    config: ServeConfig,
+    lifecycle: RoundLifecycle,
+    round_span: Any,
+    accepted: dict[int, tuple[int, int]],
+    duration_s: float,
+) -> RoundOutcome:
+    """Quorum-check one attempt's accepted reports, then fold them into its outcome."""
+    survived = len(accepted)
+    lifecycle.check_quorum(round_span, config.n_clients, survived)
+    with lifecycle.tracer.span(
+        "serve.reconstruct", {"n_bits": config.n_bits, "reports": survived}
+    ):
+        indices = np.fromiter(
+            (bi for bi, _bit in accepted.values()), dtype=np.int64, count=survived
         )
-        degraded = survived < cfg.degraded_fraction * n
-        return MeanEstimate(
-            value=value,
-            encoded_value=encoded_mean,
-            bit_means=means,
-            counts=counts,
-            n_clients=n,
-            n_bits=cfg.n_bits,
-            method="federated-served",
-            rounds=(summary,),
-            metadata={
-                "cohort_size": n,
-                "dropout_rates": [1.0 - survived / n],
-                "round_durations_s": [duration_s],
-                "total_duration_s": duration_s + backoff_s,
-                "planned_clients": [n],
-                "surviving_clients": [survived],
-                "round_attempts": [attempts],
-                "degraded_rounds": [degraded],
-                "variance_inflation": [n / survived if survived else float("inf")],
-                "backoff_s": [backoff_s],
-                "attempt_history": [[list(pair) for pair in history]],
-                "secure_aggregation": False,
-                "elicitation": "single",
-                "ldp": cfg.epsilon is not None,
-                "columnar": False,
-                "served": True,
-                "transport": "tcp",
-                "port": self.port,
-                "wire_rejects": self._rejects,
-                "late_reports": self._late,
-                "telemetry": cfg.telemetry,
-                "trace_id": self.trace_id if cfg.telemetry else None,
-            },
+        bits = np.fromiter(
+            (bit for _bi, bit in accepted.values()), dtype=np.float64, count=survived
         )
+        counts = np.bincount(indices, minlength=config.n_bits).astype(np.int64)
+        sums = np.bincount(indices, weights=bits, minlength=config.n_bits)
+        return lifecycle.complete(
+            round_span,
+            config.schedule,
+            sums,
+            counts,
+            config.n_clients,
+            survived,
+            duration_s,
+            indices,
+        )
+
+
+def _estimate(
+    config: ServeConfig, outcome: RoundOutcome, method: str, **transport: Any
+) -> MeanEstimate:
+    """A served round's estimate; ``transport`` adds the caller's own metadata keys."""
+    return round_estimate(
+        [outcome],
+        config.encoder,
+        outcome.summary.bit_means,
+        outcome.summary.counts,
+        config.n_clients,
+        method,
+        secure_aggregation=False,
+        elicitation="single",
+        ldp=config.epsilon is not None,
+        columnar=False,
+        **transport,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1001,7 +962,7 @@ def in_process_estimate(
     any sockets: the server generator draws one bit assignment per attempt,
     each client's spawned generator draws randomized response (if ``epsilon``)
     then the emulation profile's loss/latency, and the surviving reports fold
-    through the identical reconstruction arithmetic.  ``corrupted`` names
+    through the server's own :class:`RoundLifecycle`.  ``corrupted`` names
     clients whose uplinks the server always rejects (the fuzzing twin: their
     client-side draws still advance, their reports never land).
 
@@ -1011,85 +972,37 @@ def in_process_estimate(
     single-valued clients -- the acceptance-criterion equivalence.
 
     Raises :class:`RoundFailedError` when every attempt falls below quorum,
-    exactly as the server does.
+    exactly as the server does.  The replay records no spans or metrics.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size != config.n_clients:
         raise ConfigurationError(
             f"{vals.size} values for a {config.n_clients}-client round"
         )
-    encoder = config.encoder
     gen = ensure_rng(config.seed)
-    client_gens = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(fleet_seed).spawn(config.n_clients)
-    ]
-    rr = RandomizedResponse(epsilon=config.epsilon) if config.epsilon is not None else None
+    client_gens = ClientFleet(vals, seed=fleet_seed).spawn_generators()
+    lifecycle = _lifecycle(config, tracer=NULL_TRACER, metrics=NULL_METRICS)
+    rr = lifecycle.perturbation
+    encoded = config.encoder.encode(vals)
     excluded = frozenset(int(c) for c in corrupted)
-    encoded = encoder.encode(vals)
-    max_attempts = config.retry.max_attempts if config.retry is not None else 1
-    history: list[tuple[int, int]] = []
-    backoff_total = 0.0
-    n = config.n_clients
-    for attempt in range(1, max_attempts + 1):
-        assignment = central_assignment(n, config.schedule, gen)
+    while True:
+        assignment = central_assignment(config.n_clients, config.schedule, gen)
         accepted: dict[int, tuple[int, int]] = {}
-        for i in range(n):
-            bit = int((encoded[i] >> np.uint64(assignment[i])) & np.uint64(1))
+        for i, client_gen in enumerate(client_gens):
+            bit_index = int(assignment[i])
+            bit = int((encoded[i] >> np.uint64(bit_index)) & np.uint64(1))
             if rr is not None:
-                bit = int(
-                    rr.perturb_bits(np.asarray([bit], dtype=np.uint8), client_gens[i])[0]
-                )
-            delivered = True
-            if profile is not None:
-                delivered, _latency = profile.draw(client_gens[i])
+                bit = int(rr.perturb_bits(np.asarray([bit], dtype=np.uint8), client_gen)[0])
+            delivered = profile is None or profile.draw(client_gen)[0]
             if delivered and i not in excluded:
-                accepted[i] = (int(assignment[i]), bit)
-        survived = len(accepted)
-        if survived >= config.min_quorum:
-            history.append((n, survived))
-            break
-        history.append((n, survived))
-        if attempt >= max_attempts:
-            if survived == 0:
-                message = "every client dropped out of the round"
-            else:
-                message = (
-                    f"round 1 attempt {attempt}: {survived} "
-                    f"survivors below quorum {config.min_quorum}"
-                )
-            raise RoundFailedError(message, planned=n, survived=survived)
-        backoff_total += config.retry.backoff_s(attempt)
-    indices = np.fromiter((bi for bi, _b in accepted.values()), dtype=np.int64, count=survived)
-    bits = np.fromiter((b for _bi, b in accepted.values()), dtype=np.float64, count=survived)
-    counts = np.bincount(indices, minlength=config.n_bits).astype(np.int64)
-    sums = np.bincount(indices, weights=bits, minlength=config.n_bits)
-    means = bit_means_from_stats(sums, counts, rr)
-    encoded_mean = float(encoder.powers @ means)
-    value = encoder.decode_scalar(encoded_mean)
-    summary = RoundSummary(
-        probabilities=config.schedule.probabilities,
-        counts=counts,
-        sums=means * counts,
-        bit_means=means,
-        n_clients=survived,
-    )
-    return MeanEstimate(
-        value=value,
-        encoded_value=encoded_mean,
-        bit_means=means,
-        counts=counts,
-        n_clients=n,
-        n_bits=config.n_bits,
-        method="federated-served-twin",
-        rounds=(summary,),
-        metadata={
-            "attempt_history": [[list(pair) for pair in history]],
-            "backoff_s": [backoff_total],
-            "ldp": config.epsilon is not None,
-            "served": False,
-        },
-    )
+                accepted[i] = (bit_index, bit)
+        try:
+            outcome = lifecycle.finish(_complete(config, lifecycle, NullSpan(), accepted, 0.0))
+        except RoundFailedError as exc:
+            if lifecycle.retry(exc):
+                continue
+            raise
+        return _estimate(config, outcome, "federated-served-twin", served=False)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ guarantee robustness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.observability import HealthMonitor, get_metrics, get_tracer
 from repro.privacy.accountant import BitMeter, PrivacyAccountant
 from repro.rng import ensure_rng
 
-__all__ = ["RoundOutcome", "FederatedMeanQuery"]
+__all__ = ["RoundOutcome", "RoundLifecycle", "FederatedMeanQuery", "round_estimate"]
 
 _MODES = ("basic", "adaptive")
 
@@ -100,6 +100,233 @@ class RoundOutcome:
         if self.surviving_clients <= 0:
             return float("inf")
         return self.planned_clients / self.surviving_clients
+
+
+@dataclass
+class RoundLifecycle:
+    """The transport-independent half of one round's attempts (no I/O).
+
+    :class:`FederatedMeanQuery`, the asyncio
+    :class:`~repro.federated.serve.RoundServer` and its twin
+    :func:`~repro.federated.serve.in_process_estimate` drive every attempt
+    of a round through one instance: :meth:`check_quorum`, then
+    :meth:`complete`; :meth:`retry` or :meth:`finish` close the attempt.
+    The callers keep only their transport.  ``tracer``/``metrics`` default
+    to the process-wide pair (the twin passes the null pair).
+    """
+
+    n_bits: int
+    perturbation: BitPerturbation | None
+    min_quorum: int
+    degraded_fraction: float
+    retry_policy: RetryPolicy | None
+    round_index: int = 1
+    health: HealthMonitor | None = None
+    accountant: PrivacyAccountant | None = None
+    tracer: Any = field(default_factory=get_tracer)
+    metrics: Any = field(default_factory=get_metrics)
+    attempt: int = field(default=1, init=False)
+    backoff_s: float = field(default=0.0, init=False)
+    history: list[tuple[int, int]] = field(default_factory=list, init=False)
+
+    def check_quorum(
+        self, span: Any, planned: int, survived: int, secure: bool = False
+    ) -> None:
+        """Fail the attempt below quorum (``secure``: after shard recovery)."""
+        if survived >= self.min_quorum:
+            return
+        metrics = self.metrics
+        metrics.counter("rounds_failed_total").inc()
+        metrics.counter("round_reports_planned_total").inc(planned)
+        metrics.counter("round_reports_delivered_total").inc(survived)
+        metrics.counter("round_reports_lost_total").inc(planned - survived)
+        span.set_attribute("failed", True)
+        span.set_attribute("surviving_clients", survived)
+        where = f"round {self.round_index} attempt {self.attempt}"
+        if secure:
+            message = (
+                f"{where}: secure aggregation recovered {survived} clients, "
+                f"below quorum {self.min_quorum}"
+            )
+        elif survived == 0:
+            message = "every client dropped out of the round"
+        else:
+            message = f"{where}: {survived} survivors below quorum {self.min_quorum}"
+        raise RoundFailedError(message, planned=planned, survived=survived)
+
+    def complete(
+        self,
+        span: Any,
+        schedule: BitSamplingSchedule,
+        sums: np.ndarray,
+        counts: np.ndarray,
+        planned: int,
+        survived: int,
+        duration_s: float,
+        live_assignment: np.ndarray,
+        shard_failures: int = 0,
+    ) -> RoundOutcome:
+        """Turn one quorate attempt's per-bit stats into its :class:`RoundOutcome`."""
+        means = bit_means_from_stats(sums, counts, self.perturbation)
+        summary = RoundSummary(
+            probabilities=schedule.probabilities,
+            counts=counts,
+            sums=means * counts,
+            bit_means=means,
+            n_clients=survived,
+        )
+        # A round that lost shards completed under-strength even when the
+        # raw survivor fraction looks healthy: the exclusions widen the
+        # variance exactly like dropout does.
+        degraded = survived < self.degraded_fraction * planned or shard_failures > 0
+        outcome = RoundOutcome(
+            summary=summary,
+            planned_clients=planned,
+            surviving_clients=survived,
+            round_duration_s=duration_s,
+            degraded=degraded,
+        )
+        if self.accountant is not None and self.perturbation is not None:
+            epsilon = getattr(self.perturbation, "epsilon", None)
+            if epsilon is not None:
+                self.accountant.spend(
+                    float(epsilon),
+                    note=(
+                        f"round {self.round_index} attempt {self.attempt}: "
+                        f"randomized response over {survived} reports"
+                    ),
+                )
+        span.set_attribute("surviving_clients", survived)
+        span.set_attribute("round_duration_s", duration_s)
+        if degraded:
+            span.set_attribute("degraded", True)
+            span.set_attribute("variance_inflation", outcome.variance_inflation)
+            self.metrics.counter("rounds_degraded_total").inc()
+        self._record_round_metrics(outcome, live_assignment)
+        return outcome
+
+    def _record_round_metrics(self, outcome: RoundOutcome, live_assignment: np.ndarray) -> None:
+        """Fold one round's operational counters into the metrics registry.
+
+        Invariant (asserted by the trace CLI and the integration tests):
+        ``round_reports_planned_total`` accumulates exactly
+        ``round_reports_delivered_total + round_reports_lost_total``, each
+        reconciling with the :class:`RoundOutcome` fields.
+        """
+        metrics = self.metrics
+        if not metrics.enabled:
+            return
+        metrics.counter("rounds_total").inc()
+        metrics.counter("round_reports_planned_total").inc(outcome.planned_clients)
+        metrics.counter("round_reports_delivered_total").inc(outcome.surviving_clients)
+        metrics.counter("round_reports_lost_total").inc(
+            outcome.planned_clients - outcome.surviving_clients
+        )
+        metrics.gauge("dropout_rate").set(outcome.dropout_rate)
+        metrics.histogram("round_duration_s").observe(outcome.round_duration_s)
+        bit_hist = metrics.histogram(
+            "bit_index_distribution", buckets=tuple(float(j) for j in range(self.n_bits))
+        )
+        for j, count in enumerate(np.bincount(live_assignment, minlength=self.n_bits)):
+            if count:
+                bit_hist.observe(float(j), count=int(count))
+
+    def retry(self, exc: RoundFailedError) -> bool:
+        """Log a failed attempt, then back off to the next one; ``False`` when none is left."""
+        self.history.append((exc.planned, exc.survived))
+        self._observe(exc.planned, exc.survived, failed=True)
+        policy = self.retry_policy
+        if policy is None or self.attempt >= policy.max_attempts:
+            return False
+        backoff = policy.backoff_s(self.attempt)
+        self.backoff_s += backoff
+        self.metrics.counter("round_retries_total").inc()
+        with self.tracer.span(
+            "round.retry",
+            {
+                "round_index": self.round_index,
+                "failed_attempt": self.attempt,
+                "next_attempt": self.attempt + 1,
+                "backoff_s": backoff,
+                "survived": exc.survived,
+                "planned": exc.planned,
+                "reason": str(exc),
+            },
+        ):
+            pass
+        self.attempt += 1
+        return True
+
+    def finish(self, outcome: RoundOutcome) -> RoundOutcome:
+        """Stamp the completed attempt's outcome with the round's retry record."""
+        self.history.append((outcome.planned_clients, outcome.surviving_clients))
+        self._observe(
+            outcome.planned_clients,
+            outcome.surviving_clients,
+            degraded=outcome.degraded,
+            duration_s=outcome.round_duration_s,
+        )
+        return replace(
+            outcome,
+            attempts=self.attempt,
+            backoff_s=self.backoff_s,
+            attempt_history=tuple(self.history),
+        )
+
+    def _observe(self, planned: int, survived: int, **sample: Any) -> None:
+        if self.health is None:
+            return
+        self.health.observe_round(
+            round_index=self.round_index,
+            attempt=self.attempt,
+            planned=planned,
+            survived=survived,
+            epsilon_spent=(
+                float(self.accountant.spent_epsilon) if self.accountant is not None else None
+            ),
+            **sample,
+        )
+
+
+def round_estimate(
+    outcomes: Sequence[RoundOutcome],
+    encoder: FixedPointEncoder,
+    bit_means: np.ndarray,
+    counts: np.ndarray,
+    n_clients: int,
+    method: str,
+    squashed: tuple[int, ...] = (),
+    **metadata: Any,
+) -> MeanEstimate:
+    """The estimate from pooled per-bit stats; callers add only their own ``metadata``."""
+    encoded_mean = float(encoder.powers @ bit_means)
+    return MeanEstimate(
+        value=encoder.decode_scalar(encoded_mean),
+        encoded_value=encoded_mean,
+        bit_means=bit_means,
+        counts=counts,
+        n_clients=n_clients,
+        n_bits=encoder.n_bits,
+        method=method,
+        rounds=tuple(o.summary for o in outcomes),
+        squashed_bits=squashed,
+        metadata={
+            "cohort_size": n_clients,
+            "dropout_rates": [o.dropout_rate for o in outcomes],
+            "round_durations_s": [o.round_duration_s for o in outcomes],
+            "total_duration_s": sum(o.round_duration_s + o.backoff_s for o in outcomes),
+            "planned_clients": [o.planned_clients for o in outcomes],
+            "surviving_clients": [o.surviving_clients for o in outcomes],
+            "round_attempts": [o.attempts for o in outcomes],
+            "degraded_rounds": [o.degraded for o in outcomes],
+            "variance_inflation": [o.variance_inflation for o in outcomes],
+            "backoff_s": [o.backoff_s for o in outcomes],
+            "attempt_history": [
+                [list(pair) for pair in o.attempt_history] for o in outcomes
+            ],
+            **metadata,
+        },
+    )
 
 
 class FederatedMeanQuery:
@@ -367,42 +594,22 @@ class FederatedMeanQuery:
                     pooled_means, squashed_idx = squash_bit_means(pooled_means, threshold)
                     squashed = tuple(int(j) for j in squashed_idx)
 
-                encoded_mean = float(self.encoder.powers @ pooled_means)
-                value = self.encoder.decode_scalar(encoded_mean)
+                estimate = round_estimate(
+                    outcomes,
+                    self.encoder,
+                    pooled_means,
+                    pooled_counts,
+                    len(cohort),
+                    f"federated-{self.mode}",
+                    squashed,
+                    secure_aggregation=self.secure_aggregation,
+                    elicitation=self.elicitation,
+                    ldp=self.perturbation is not None,
+                    columnar=isinstance(population, ClientBatch),
+                )
                 reconstruct_span.set_attribute("squashed_bits", list(squashed))
-                reconstruct_span.set_attribute("estimate", value)
-
-            total_duration = sum(o.round_duration_s + o.backoff_s for o in outcomes)
-            return MeanEstimate(
-                value=value,
-                encoded_value=encoded_mean,
-                bit_means=pooled_means,
-                counts=pooled_counts,
-                n_clients=len(cohort),
-                n_bits=self.encoder.n_bits,
-                method=f"federated-{self.mode}",
-                rounds=tuple(o.summary for o in outcomes),
-                squashed_bits=squashed,
-                metadata={
-                    "cohort_size": len(cohort),
-                    "dropout_rates": [o.dropout_rate for o in outcomes],
-                    "round_durations_s": [o.round_duration_s for o in outcomes],
-                    "total_duration_s": total_duration,
-                    "planned_clients": [o.planned_clients for o in outcomes],
-                    "surviving_clients": [o.surviving_clients for o in outcomes],
-                    "round_attempts": [o.attempts for o in outcomes],
-                    "degraded_rounds": [o.degraded for o in outcomes],
-                    "variance_inflation": [o.variance_inflation for o in outcomes],
-                    "backoff_s": [o.backoff_s for o in outcomes],
-                    "attempt_history": [
-                        [list(pair) for pair in o.attempt_history] for o in outcomes
-                    ],
-                    "secure_aggregation": self.secure_aggregation,
-                    "elicitation": self.elicitation,
-                    "ldp": self.perturbation is not None,
-                    "columnar": isinstance(population, ClientBatch),
-                },
-            )
+                reconstruct_span.set_attribute("estimate", estimate.value)
+            return estimate
 
     # ------------------------------------------------------------------
     def _run_round_with_recovery(
@@ -424,74 +631,24 @@ class FederatedMeanQuery:
         returned outcome records the attempt count, accumulated backoff,
         and every attempt's ``(planned, survived)`` pair.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
-        max_attempts = self.retry.max_attempts if self.retry is not None else 1
-        history: list[tuple[int, int]] = []
-        backoff_total = 0.0
-        attempt = 1
+        lifecycle = RoundLifecycle(
+            self.encoder.n_bits,
+            self.perturbation,
+            self.min_quorum,
+            self.degraded_fraction,
+            self.retry,
+            round_index=round_index,
+            health=self.health,
+            accountant=self.accountant,
+        )
         while True:
             try:
-                outcome = self._run_round(clients, schedule, gen, round_index, attempt)
+                return lifecycle.finish(self._run_round(clients, schedule, gen, lifecycle))
             except RoundFailedError as exc:
-                history.append((exc.planned, exc.survived))
-                if self.health is not None:
-                    self.health.observe_round(
-                        round_index=round_index,
-                        attempt=attempt,
-                        planned=exc.planned,
-                        survived=exc.survived,
-                        failed=True,
-                        epsilon_spent=(
-                            float(self.accountant.spent_epsilon)
-                            if self.accountant is not None
-                            else None
-                        ),
-                    )
-                if attempt >= max_attempts:
+                if not lifecycle.retry(exc):
                     raise
-                backoff = self.retry.backoff_s(attempt)
-                backoff_total += backoff
-                metrics.counter("round_retries_total").inc()
-                with tracer.span(
-                    "round.retry",
-                    {
-                        "round_index": round_index,
-                        "failed_attempt": attempt,
-                        "next_attempt": attempt + 1,
-                        "backoff_s": backoff,
-                        "survived": exc.survived,
-                        "planned": exc.planned,
-                        "reason": str(exc),
-                    },
-                ):
-                    if self.retry.redraw_cohort and population is not None:
-                        clients = self.selector.select(
-                            population, eligibility, len(clients), gen
-                        )
-                attempt += 1
-                continue
-            history.append((outcome.planned_clients, outcome.surviving_clients))
-            if self.health is not None:
-                self.health.observe_round(
-                    round_index=round_index,
-                    attempt=attempt,
-                    planned=outcome.planned_clients,
-                    survived=outcome.surviving_clients,
-                    degraded=outcome.degraded,
-                    duration_s=outcome.round_duration_s,
-                    epsilon_spent=(
-                        float(self.accountant.spent_epsilon)
-                        if self.accountant is not None
-                        else None
-                    ),
-                )
-            return replace(
-                outcome,
-                attempts=attempt,
-                backoff_s=backoff_total,
-                attempt_history=tuple(history),
-            )
+                if self.retry.redraw_cohort and population is not None:
+                    clients = self.selector.select(population, eligibility, len(clients), gen)
 
     # ------------------------------------------------------------------
     def _run_round(
@@ -499,19 +656,21 @@ class FederatedMeanQuery:
         clients: Population,
         schedule: BitSamplingSchedule,
         gen: np.random.Generator,
-        round_index: int = 1,
-        attempt: int = 1,
+        lifecycle: RoundLifecycle,
     ) -> RoundOutcome:
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer = lifecycle.tracer
         n = len(clients)
         if n == 0:
             raise ConfigurationError("round planned with zero clients")
         with tracer.span(
             "federated.round",
-            {"round_index": round_index, "planned_clients": n, "attempt": attempt},
+            {
+                "round_index": lifecycle.round_index,
+                "planned_clients": n,
+                "attempt": lifecycle.attempt,
+            },
         ) as round_span:
-            metrics.counter("round_attempts_total").inc()
+            lifecycle.metrics.counter("round_attempts_total").inc()
             # Scripted fault injection: the schedule's clock ticks once per
             # attempt, and the active overrides wrap the failure models.
             dropout, network = self.dropout, self.network
@@ -550,22 +709,7 @@ class FederatedMeanQuery:
                 alive = delivered
             survivors = np.flatnonzero(alive)
             self.dropout_tracker.update(planned=n, survived=int(survivors.size))
-            quorum = max(1, self.min_quorum)
-            if survivors.size < quorum:
-                metrics.counter("rounds_failed_total").inc()
-                metrics.counter("round_reports_planned_total").inc(n)
-                metrics.counter("round_reports_delivered_total").inc(int(survivors.size))
-                metrics.counter("round_reports_lost_total").inc(n - int(survivors.size))
-                round_span.set_attribute("failed", True)
-                round_span.set_attribute("surviving_clients", int(survivors.size))
-                if survivors.size == 0:
-                    message = "every client dropped out of the round"
-                else:
-                    message = (
-                        f"round {round_index} attempt {attempt}: {survivors.size} "
-                        f"survivors below quorum {quorum}"
-                    )
-                raise RoundFailedError(message, planned=n, survived=int(survivors.size))
+            lifecycle.check_quorum(round_span, n, int(survivors.size))
 
             # Client-side: elicit one value each, meter the single-bit disclosure.
             # Batched across survivors -- stream-identical to per-client
@@ -621,19 +765,7 @@ class FederatedMeanQuery:
                     secure_span.set_attribute("shard_failures", shard_failures)
                     secure_span.set_attribute("included_clients", int(included.size))
                 survived_count = int(included.size)
-                if survived_count < quorum:
-                    metrics.counter("rounds_failed_total").inc()
-                    metrics.counter("round_reports_planned_total").inc(n)
-                    metrics.counter("round_reports_delivered_total").inc(survived_count)
-                    metrics.counter("round_reports_lost_total").inc(n - survived_count)
-                    round_span.set_attribute("failed", True)
-                    round_span.set_attribute("surviving_clients", survived_count)
-                    raise RoundFailedError(
-                        f"round {round_index} attempt {attempt}: secure aggregation "
-                        f"recovered {survived_count} clients, below quorum {quorum}",
-                        planned=n,
-                        survived=survived_count,
-                    )
+                lifecycle.check_quorum(round_span, n, survived_count, secure=True)
                 if self.meter is not None:
                     if columnar:
                         positions = np.searchsorted(survivors, included)
@@ -656,75 +788,17 @@ class FederatedMeanQuery:
                         chunk=self.chunk_clients,
                     )
                 survived_count = int(survivors.size)
-            means = bit_means_from_stats(sums, counts, self.perturbation)
-            summary = RoundSummary(
-                probabilities=schedule.probabilities,
-                counts=counts,
-                sums=means * counts,
-                bit_means=means,
-                n_clients=survived_count,
+            return lifecycle.complete(
+                round_span,
+                schedule,
+                sums,
+                counts,
+                n,
+                survived_count,
+                duration,
+                live_assignment,
+                shard_failures,
             )
-            # A round that lost shards completed under-strength even when the
-            # raw survivor fraction looks healthy: the exclusions widen the
-            # variance exactly like dropout does.
-            degraded = (
-                survived_count < self.degraded_fraction * n or shard_failures > 0
-            )
-            outcome = RoundOutcome(
-                summary=summary,
-                planned_clients=n,
-                surviving_clients=survived_count,
-                round_duration_s=duration,
-                degraded=degraded,
-            )
-            if self.accountant is not None and self.perturbation is not None:
-                epsilon = getattr(self.perturbation, "epsilon", None)
-                if epsilon is not None:
-                    self.accountant.spend(
-                        float(epsilon),
-                        note=(
-                            f"round {round_index} attempt {attempt}: randomized response "
-                            f"over {survived_count} reports"
-                        ),
-                    )
-            round_span.set_attribute("surviving_clients", outcome.surviving_clients)
-            round_span.set_attribute("round_duration_s", outcome.round_duration_s)
-            if degraded:
-                round_span.set_attribute("degraded", True)
-                round_span.set_attribute("variance_inflation", outcome.variance_inflation)
-                metrics.counter("rounds_degraded_total").inc()
-            self._record_round_metrics(metrics, outcome, live_assignment)
-            return outcome
-
-    def _record_round_metrics(
-        self,
-        metrics,
-        outcome: RoundOutcome,
-        live_assignment: np.ndarray,
-    ) -> None:
-        """Fold one round's operational counters into the metrics registry.
-
-        Invariant (asserted by the trace CLI and the integration tests):
-        ``round_reports_planned_total`` accumulates exactly
-        ``round_reports_delivered_total + round_reports_lost_total``, each
-        reconciling with the :class:`RoundOutcome` fields.
-        """
-        if not metrics.enabled:
-            return
-        metrics.counter("rounds_total").inc()
-        metrics.counter("round_reports_planned_total").inc(outcome.planned_clients)
-        metrics.counter("round_reports_delivered_total").inc(outcome.surviving_clients)
-        metrics.counter("round_reports_lost_total").inc(
-            outcome.planned_clients - outcome.surviving_clients
-        )
-        metrics.gauge("dropout_rate").set(outcome.dropout_rate)
-        metrics.histogram("round_duration_s").observe(outcome.round_duration_s)
-        bit_hist = metrics.histogram(
-            "bit_index_distribution", buckets=tuple(float(j) for j in range(self.encoder.n_bits))
-        )
-        for j, count in enumerate(np.bincount(live_assignment, minlength=self.encoder.n_bits)):
-            if count:
-                bit_hist.observe(float(j), count=int(count))
 
     # ------------------------------------------------------------------
     def _adjust_schedule(

@@ -64,11 +64,3 @@ class TestTopLevelSurface:
             obj = getattr(repro, name)
             assert getattr(obj, "__doc__", None), f"{name} lacks a docstring"
 
-
-class TestFigure4Helper:
-    def test_squash_threshold_for_maps_multiples(self):
-        from repro.core.squashing import rr_noise_std
-        from repro.experiments.figure4 import squash_threshold_for
-
-        threshold = squash_threshold_for(2.0, epsilon=2.0, n_clients=16_000, n_bits=16)
-        assert threshold == pytest.approx(2.0 * rr_noise_std(2.0, 1_000))

@@ -67,12 +67,16 @@ class TestLoopbackParity:
         n = 32
         values = fleet_values(n, seed=3)
         cfg = ServeConfig(n_clients=n, seed=11, deadline_s=10.0, registration_timeout_s=5.0)
-        served, fleet = run_loopback(cfg, values, fleet_seed=3)
+        served_metrics = MetricsRegistry()
+        with instrumented(metrics=served_metrics):
+            served, fleet = run_loopback(cfg, values, fleet_seed=3)
 
         population = [ClientDevice(i, [float(v)]) for i, v in enumerate(values)]
-        in_process = FederatedMeanQuery(
-            FixedPointEncoder.for_integers(10), mode="basic"
-        ).run(population, rng=cfg.seed)
+        in_process_metrics = MetricsRegistry()
+        with instrumented(metrics=in_process_metrics):
+            in_process = FederatedMeanQuery(
+                FixedPointEncoder.for_integers(10), mode="basic"
+            ).run(population, rng=cfg.seed)
         twin = in_process_estimate(values, cfg, fleet_seed=3)
 
         assert served.estimate.value == in_process.value
@@ -86,6 +90,28 @@ class TestLoopbackParity:
         assert len(fleet.results) == n
         assert served.estimate.metadata["served"] is True
         assert served.estimate.metadata["transport"] == "tcp"
+
+        # One lifecycle records one set of per-round metrics on both paths.
+        served_snap = served_metrics.snapshot()
+        in_process_snap = in_process_metrics.snapshot()
+        for name in (
+            "rounds_total",
+            "round_attempts_total",
+            "round_reports_planned_total",
+            "round_reports_delivered_total",
+            "round_reports_lost_total",
+        ):
+            assert served_snap["counters"][name] == in_process_snap["counters"][name], name
+        assert served_snap["gauges"]["dropout_rate"] == in_process_snap["gauges"]["dropout_rate"]
+        assert (
+            served_snap["histograms"]["bit_index_distribution"]
+            == in_process_snap["histograms"]["bit_index_distribution"]
+        )
+        assert (
+            served_snap["histograms"]["round_duration_s"]["count"]
+            == in_process_snap["histograms"]["round_duration_s"]["count"]
+            == 1
+        )
 
     def test_lossy_rr_round_matches_twin(self):
         n = 40
@@ -107,6 +133,24 @@ class TestLoopbackParity:
         assert served.surviving_clients == fleet.uplinks_sent
         assert served.wire_rejects == 0
         assert served.estimate.metadata["ldp"] is True
+
+        # The twin carries the served metadata, minus transport and wall clock.
+        transport_only = {
+            "served",
+            "transport",
+            "port",
+            "wire_rejects",
+            "late_reports",
+            "telemetry",
+            "trace_id",
+            "round_durations_s",
+            "total_duration_s",
+        }
+
+        def shared(metadata):
+            return {k: v for k, v in metadata.items() if k not in transport_only}
+
+        assert shared(twin.metadata) == shared(served.estimate.metadata)
 
     def test_retry_recovers_after_total_uplink_loss(self):
         n = 12
@@ -142,7 +186,15 @@ class TestLoopbackParity:
         expected = cfg.encoder.decode_scalar(float(cfg.encoder.powers @ means))
         assert served.estimate.value == expected
 
-    def test_quorum_failure_aborts_and_fleet_sees_abort(self):
+    @pytest.mark.parametrize(
+        "reporting, message",
+        [
+            (0, "every client dropped"),
+            (1, "round 1 attempt 1: 1 survivors below quorum 2"),
+        ],
+        ids=["no-reports", "below-quorum"],
+    )
+    def test_quorum_failure_aborts_and_fleet_sees_abort(self, reporting, message):
         n = 6
         values = fleet_values(n, seed=2)
         cfg = ServeConfig(
@@ -152,21 +204,29 @@ class TestLoopbackParity:
         async def scenario():
             server = RoundServer(cfg)
             port = await server.start()
-            fleet = ClientFleet(values, seed=2, mutate=lambda cid, attempt, frame: None)
+            fleet = ClientFleet(
+                values,
+                seed=2,
+                mutate=lambda cid, attempt, frame: frame if cid < reporting else None,
+            )
             task = asyncio.create_task(fleet.run(cfg.host, port))
-            with pytest.raises(RoundFailedError, match="every client dropped"):
+            with pytest.raises(RoundFailedError, match=message) as failure:
                 await server.serve_round()
             result = await task
             await server.close()
-            return result
+            return result, failure.value
 
-        fleet_result = asyncio.run(scenario())
+        fleet_result, served_error = asyncio.run(scenario())
         assert fleet_result.aborted
         assert fleet_result.estimate is None
-        assert fleet_result.uplinks_dropped == n
+        assert fleet_result.uplinks_dropped == n - reporting
 
-        with pytest.raises(RoundFailedError, match="every client dropped"):
-            in_process_estimate(values, cfg, fleet_seed=2, corrupted=range(n))
+        with pytest.raises(RoundFailedError, match=message) as twin_failure:
+            in_process_estimate(values, cfg, fleet_seed=2, corrupted=range(reporting, n))
+        twin_error = twin_failure.value
+        assert str(twin_error) == str(served_error)
+        assert (twin_error.planned, twin_error.survived) == (n, reporting)
+        assert (served_error.planned, served_error.survived) == (n, reporting)
 
 
 class TestUplinkRejection:

@@ -22,7 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.client_plane import ClientBatch, elicit_values
 from repro.exceptions import ConfigurationError
 from repro.rng import ensure_rng
 
@@ -92,31 +91,6 @@ class RangeMeanEstimator(abc.ABC):
             method=self.method,
             metadata=self._metadata(),
         )
-
-    def estimate_clients(
-        self,
-        batch: ClientBatch,
-        strategy: str = "sample",
-        rng: np.random.Generator | int | None = None,
-        chunk: int | None = None,
-    ) -> ScalarEstimate:
-        """Estimate straight from a columnar :class:`ClientBatch`.
-
-        Elicitation (one value per client) runs through the chunk-streamed
-        columnar kernels -- stream-identical to the object path for
-        ``"sample"`` and exact for ``"max"``/``"latest"`` -- then the
-        baseline's *mechanism* runs on the full elicited array, exactly as
-        :meth:`estimate` would.  That full-array mechanism stage is every
-        baseline's documented object-path fallback: mechanisms like Duchi's
-        or Laplace average real-valued reports, where chunked re-association
-        cannot be guaranteed bit-identical to the single-pass float
-        reduction, so the O(n) elicited array (8 bytes/client) is accepted
-        and only elicitation streams.  Inherited by every baseline, so each
-        is covered by the columnar/object twin tests.
-        """
-        gen = ensure_rng(rng)
-        values = elicit_values(batch, strategy, gen, chunk=chunk)
-        return self.estimate(values, gen)
 
     # ------------------------------------------------------------------
     @abc.abstractmethod

@@ -557,13 +557,7 @@ def run_traced_round(
         shard_size=shard_size,
         min_reports_per_bit=2,
         min_quorum=min_quorum,
-        # Recorded runs meter every disclosure at the paper's 1-bit cap, which
-        # requires the two adaptive rounds' cohorts to stay disjoint -- a
-        # redrawn retry cohort could overlap the other round's, so recording
-        # retries the same cohort instead (failed attempts elicit nothing).
-        retry=RetryPolicy(max_attempts=max_retries + 1, redraw_cohort=not recording)
-        if max_retries > 0
-        else None,
+        retry=RetryPolicy(max_attempts=max_retries + 1) if max_retries > 0 else None,
         faults=FaultSchedule.load(fault_schedule) if fault_schedule else None,
         meter=meter,
         accountant=accountant,

@@ -23,11 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.client_plane import (
-    ClientBatch,
-    accumulate_bit_reports,
-    elicit_values,
-)
+from repro.core.client_plane import accumulate_bit_reports
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import (
     BitPerturbation,
@@ -228,23 +224,6 @@ class AdaptiveBitPushing:
                 "squash_multiple": self.squash_multiple,
             },
         )
-
-    def estimate_clients(
-        self,
-        batch: ClientBatch,
-        strategy: str = "sample",
-        rng: np.random.Generator | int | None = None,
-        chunk: int | None = None,
-    ) -> MeanEstimate:
-        """Estimate straight from a columnar :class:`ClientBatch`.
-
-        Columnar chunk-streamed elicitation followed by the standard
-        two-round protocol; bit-identical to the object path for
-        ``"sample"``/``"max"``/``"latest"`` elicitation.
-        """
-        gen = ensure_rng(rng)
-        values = elicit_values(batch, strategy, gen, chunk=chunk)
-        return self.estimate(values, gen)
 
     # ------------------------------------------------------------------
     def _run_round(

@@ -17,11 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.client_plane import (
-    ClientBatch,
-    accumulate_bit_reports,
-    elicit_values,
-)
+from repro.core.client_plane import accumulate_bit_reports
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import (
     BitPerturbation,
@@ -168,25 +164,6 @@ class BasicBitPushing:
                 "ldp": self.perturbation is not None,
             },
         )
-
-    def estimate_clients(
-        self,
-        batch: ClientBatch,
-        strategy: str = "sample",
-        rng: np.random.Generator | int | None = None,
-        chunk: int | None = None,
-    ) -> MeanEstimate:
-        """Estimate straight from a columnar :class:`ClientBatch`.
-
-        Elicits one value per client with the chunk-streamed columnar
-        kernels, then runs the standard protocol.  Bit-identical to
-        ``estimate(elicit_batch([c.values for c in devices], strategy, gen),
-        gen)`` for ``"sample"``/``"max"``/``"latest"`` elicitation (see
-        :mod:`repro.core.client_plane` for the ``"mean"`` ulp caveat).
-        """
-        gen = ensure_rng(rng)
-        values = elicit_values(batch, strategy, gen, chunk=chunk)
-        return self.estimate(values, gen)
 
     # ------------------------------------------------------------------
     def estimate_batch(

@@ -11,7 +11,11 @@ NumPy kernels processed in bounded-memory chunks of ``REPRO_BATCH_CHUNK``
 clients (default 64k), so 10M-client rounds stream without blowup.
 
 **Bit-identity contract.**  Every kernel here consumes randomness exactly as
-its object-path twin, for *any* chunk size (including 1 and > n):
+the per-client reference it replaces -- one
+:func:`~repro.federated.multivalue.elicit_single_value` call per client in
+order (what ``ClientDevice.elicit`` runs) for elicitation,
+:func:`~repro.core.protocol.collect_bit_reports` for collection -- for *any*
+chunk size (including 1 and > n):
 
 * NumPy ``Generator`` draws are element-sequential in C order, so splitting
   one ``gen.integers(sizes)`` / ``gen.random(shape)`` call into consecutive
@@ -26,9 +30,10 @@ its object-path twin, for *any* chunk size (including 1 and > n):
 
 The one documented exception is ``"mean"`` elicitation: the columnar path
 reduces each client's multiset with ``np.add.reduceat`` (sequential
-accumulation) while the object path calls ``ndarray.mean`` (pairwise), which
-can differ in the last ulp for multisets longer than a few elements.  The
-``"sample"`` (default), ``"max"``, and ``"latest"`` strategies are exact.
+accumulation) while the scalar reference calls ``ndarray.mean`` (pairwise),
+which can differ in the last few ulps for multisets longer than a few
+elements.  The ``"sample"`` (default), ``"max"``, and ``"latest"``
+strategies are exact.
 
 Chunked stages emit ``client_plane.*`` tracer spans so flight-recorder
 artifacts capture columnar runs phase by phase (see ``docs/performance.md``).
@@ -99,10 +104,10 @@ class ClientBatch:
 
     Client ``i`` holds the multiset ``values[offsets[i]:offsets[i+1]]`` (at
     least one value each), identity ``client_ids[i]``, and one entry per
-    attribute column.  This is the drop-in columnar replacement for a
-    ``Sequence[ClientDevice]``: :class:`~repro.federated.server.
-    FederatedMeanQuery` accepts either, and the two are bit-identical for
-    the same seed.
+    attribute column.  This is the round engine's only population:
+    :class:`~repro.federated.server.FederatedMeanQuery` also accepts a
+    ``Sequence[ClientDevice]``, which it converts once with
+    :meth:`from_devices`.
 
     Parameters
     ----------
@@ -214,42 +219,37 @@ class ClientBatch:
     def from_devices(cls, devices: Iterable[Any]) -> "ClientBatch":
         """Build a batch from device objects (duck-typed ``ClientDevice``).
 
-        Each device must expose ``values`` (non-empty 1-D) and may expose
+        Each device must expose ``values`` (non-empty) and may expose
         ``client_id`` and an ``attributes`` mapping; attribute columns are
         the union of keys (missing entries become ``None``).  This is the
-        compatibility constructor for tests and migrations -- it is O(n)
-        Python, so large populations should be built columnar directly.
+        boundary where object populations enter the round engine:
+        :class:`~repro.federated.server.FederatedMeanQuery` converts a
+        ``Sequence[ClientDevice]`` here once per query.  It is O(n) Python,
+        so large populations should be built columnar directly.
         """
-        value_arrays: list[np.ndarray] = []
-        ids: list[int] = []
-        raw_attributes: list[dict] = []
-        keys: list[str] = []
-        for index, device in enumerate(devices):
-            vals = np.atleast_1d(np.asarray(device.values, dtype=np.float64))
-            if vals.size == 0:
-                raise ConfigurationError(f"client at position {index} has no local values")
-            value_arrays.append(vals)
-            ids.append(int(getattr(device, "client_id", index)))
-            attrs = dict(getattr(device, "attributes", None) or {})
-            raw_attributes.append(attrs)
-            for key in attrs:
-                if key not in keys:
-                    keys.append(key)
-        if not value_arrays:
+        devices = list(devices)
+        if not devices:
             raise ConfigurationError("need at least one client")
-        sizes = np.array([a.size for a in value_arrays], dtype=np.int64)
+        value_arrays = [np.asarray(d.values, dtype=np.float64).reshape(-1) for d in devices]
+        sizes = np.fromiter(map(len, value_arrays), dtype=np.int64, count=len(devices))
+        if not sizes.all():
+            raise ConfigurationError(
+                f"client at position {int(np.argmin(sizes))} has no local values"
+            )
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
+        ids = np.fromiter(
+            (getattr(d, "client_id", i) for i, d in enumerate(devices)),
+            dtype=np.int64,
+            count=len(devices),
+        )
+        raw_attributes = [getattr(d, "attributes", None) or {} for d in devices]
+        keys = dict.fromkeys(key for attrs in raw_attributes for key in attrs)
         columns = {
             key: np.array([attrs.get(key) for attrs in raw_attributes], dtype=object)
             for key in keys
         }
-        return cls(
-            np.concatenate(value_arrays),
-            offsets,
-            np.array(ids, dtype=np.int64),
-            columns,
-        )
+        return cls(np.concatenate(value_arrays), offsets, ids, columns)
 
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "ClientBatch":
@@ -296,10 +296,11 @@ def elicit_values(
 ) -> np.ndarray:
     """Elicit one value per client from a columnar batch.
 
-    The vectorized twin of :func:`repro.federated.multivalue.elicit_batch`:
-    ``"sample"`` draws the per-client local index with chunked
-    ``gen.integers(sizes)`` calls -- stream-identical to the object path for
-    any chunk size -- and ``"max"``/``"latest"`` are exact reductions.
+    Equivalent to one :func:`~repro.federated.multivalue.elicit_single_value`
+    call per client in order with the same generator: ``"sample"`` draws the
+    per-client local index with chunked ``gen.integers(sizes)`` calls --
+    stream-identical to the scalar draws for any chunk size -- and
+    ``"max"``/``"latest"`` are exact reductions.
     ``"mean"`` uses sequential ``reduceat`` accumulation (see the module
     docstring for the ulp caveat).
     """
@@ -329,7 +330,7 @@ def elicit_values(
         return np.maximum.reduceat(batch.values, batch.offsets[:-1])
     if strategy == "latest":
         return batch.values[batch.offsets[1:] - 1]
-    # Defer to the object-path module for the canonical error message.
+    # Defer to the scalar elicitation module for the canonical error message.
     from repro.federated.multivalue import ELICITATION_STRATEGIES
 
     raise ConfigurationError(

@@ -46,7 +46,7 @@ class BitPerturbation(Protocol):
     so that perturbing a ``(n, b)`` array in row chunks yields the identical
     stream as one full-array call.  The chunk-streamed columnar kernels in
     :mod:`repro.core.client_plane` rely on this to stay bit-identical to the
-    object path for any chunk size.
+    single full-array pass for any chunk size.
     """
 
     def perturb_bits(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from repro.core.client_plane import ClientBatch
 from repro.exceptions import ConfigurationError
 from repro.rng import ensure_rng
 
-__all__ = ["ELICITATION_STRATEGIES", "elicit_single_value", "elicit_batch", "ground_truth_mean"]
+__all__ = ["ELICITATION_STRATEGIES", "elicit_single_value", "ground_truth_mean"]
 
 #: Supported strategies for reducing a device's multiset to one value.
 ELICITATION_STRATEGIES = ("sample", "mean", "max", "latest")
@@ -54,41 +54,6 @@ def elicit_single_value(
     )
 
 
-def elicit_batch(
-    value_sets: Sequence[np.ndarray],
-    strategy: str = "sample",
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Elicit one value from each client's multiset in a single call.
-
-    Semantically (and, for ``"sample"``, *stream*-) identical to calling
-    :func:`elicit_single_value` once per client in order with the same
-    generator: the sampling path draws all local indices with one
-    ``gen.integers(sizes)`` call, which consumes the underlying bit stream
-    exactly as the per-client scalar draws would.  This is the federated
-    server's per-round hot loop (one elicitation per surviving client).
-    """
-    arrays = [np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in value_sets]
-    if any(a.size == 0 for a in arrays):
-        raise ConfigurationError("cannot elicit from an empty value set")
-    if not arrays:
-        return np.empty(0)
-    if strategy == "sample":
-        gen = ensure_rng(rng)
-        sizes = np.array([a.size for a in arrays], dtype=np.int64)
-        picks = np.atleast_1d(gen.integers(sizes))
-        return np.array([a[k] for a, k in zip(arrays, picks)], dtype=np.float64)
-    if strategy == "mean":
-        return np.array([a.mean() for a in arrays], dtype=np.float64)
-    if strategy == "max":
-        return np.array([a.max() for a in arrays], dtype=np.float64)
-    if strategy == "latest":
-        return np.array([a[-1] for a in arrays], dtype=np.float64)
-    raise ConfigurationError(
-        f"unknown elicitation strategy {strategy!r}; expected one of {ELICITATION_STRATEGIES}"
-    )
-
-
 def ground_truth_mean(
     per_client_values: Union[Sequence[np.ndarray], ClientBatch],
     strategy: str = "sample",
@@ -108,6 +73,8 @@ def ground_truth_mean(
     """
     if isinstance(per_client_values, ClientBatch):
         batch = per_client_values
+        if len(batch) == 0:
+            raise ConfigurationError("need at least one client")
         if strategy in ("sample", "mean"):
             reductions = batch.local_means()
         elif strategy == "max":

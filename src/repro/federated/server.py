@@ -35,11 +35,9 @@ from repro.core.results import MeanEstimate, RoundSummary
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.core.squashing import per_bit_squash_thresholds, squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
-from repro.federated.client import ClientDevice
 from repro.federated.cohort import CohortSelector, Eligibility, Population
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
 from repro.federated.faults import FaultSchedule
-from repro.federated.multivalue import elicit_batch
 from repro.federated.network import NetworkModel
 from repro.federated.retry import RetryPolicy
 from repro.federated.secure_agg.hierarchy import (
@@ -55,13 +53,6 @@ from repro.rng import ensure_rng
 __all__ = ["RoundOutcome", "RoundLifecycle", "FederatedMeanQuery", "round_estimate"]
 
 _MODES = ("basic", "adaptive")
-
-
-def _subset(clients: Population, indices: np.ndarray) -> Population:
-    """Positional subset preserving the population representation."""
-    if isinstance(clients, ClientBatch):
-        return clients.take(indices)
-    return [clients[int(i)] for i in indices]
 
 
 @dataclass(frozen=True)
@@ -329,6 +320,49 @@ def round_estimate(
     )
 
 
+@dataclass(frozen=True)
+class _CohortDraw:
+    """One query's population as one batch; cohorts are positions into it.
+
+    ``population`` is what the caller handed in (eligibility predicates,
+    plain per-device callables included, evaluate on it); ``batch`` is the
+    same clients as a :class:`ClientBatch`, the only population the round
+    engine touches.
+    """
+
+    population: Population
+    batch: ClientBatch
+    eligibility: Eligibility | None
+    selector: CohortSelector
+
+    def clients(self, positions: np.ndarray) -> ClientBatch:
+        """The cohort at ``positions``; the whole population is not copied.
+
+        Every draw that covers the whole batch is ``arange(n)`` in order, so
+        the batch itself is that cohort.
+        """
+        if positions.size == len(self.batch):
+            return self.batch
+        return self.batch.take(positions)
+
+    def redraw(
+        self, size: int, held: np.ndarray | None, gen: np.random.Generator
+    ) -> np.ndarray:
+        """Draw ``size`` fresh eligible positions, none of them in ``held``.
+
+        Without ``held`` this consumes randomness exactly as
+        :meth:`CohortSelector.select_indices` does for the same draw.
+        """
+        free = np.zeros(len(self.batch), dtype=bool)
+        free[self.selector.select_indices(self.population, self.eligibility)] = True
+        if held is not None:
+            free[held] = False
+        available = np.flatnonzero(free)
+        if size >= available.size:
+            return available
+        return available[gen.choice(available.size, size=size, replace=False)]
+
+
 class FederatedMeanQuery:
     """A configurable federated mean query over a device population.
 
@@ -388,7 +422,9 @@ class FederatedMeanQuery:
         plan is flagged degraded (``rounds_degraded_total`` metric).
     retry:
         :class:`RetryPolicy` for failed round attempts (``None`` disables
-        retries: a failed round raises, as before).
+        retries: a failed round raises, as before).  An adaptive round that
+        redraws its retry cohort draws only clients outside the other
+        round's cohort, so no client answers both rounds.
     faults:
         Optional :class:`~repro.federated.faults.FaultSchedule`; its clock
         advances once per round *attempt* and the active fault overrides
@@ -413,13 +449,14 @@ class FederatedMeanQuery:
         results are bit-identical for every value.
 
     The population handed to :meth:`run` may be a ``Sequence[ClientDevice]``
-    (the object path) or a columnar
-    :class:`~repro.core.client_plane.ClientBatch`; the two are bit-identical
-    for the same seed (``"sample"``/``"max"``/``"latest"`` elicitation; see
-    :mod:`repro.core.client_plane` for the ``"mean"`` caveat).  The columnar
-    path elicits, encodes, perturbs, and aggregates in bounded-memory chunks,
-    never materializing per-client objects.  Secure aggregation feeds both
-    representations through the same hierarchical shard tree
+    or a columnar :class:`~repro.core.client_plane.ClientBatch`.  The cohort
+    is drawn from it as given (so plain per-device eligibility callables
+    work on object populations), and an object population is converted once
+    with :meth:`~repro.core.client_plane.ClientBatch.from_devices`: past
+    the cohort draw the engine holds only ``ClientBatch`` cohorts, as
+    positions into that one batch.  It elicits, encodes, perturbs, and
+    aggregates in bounded-memory chunks, never materializing per-client
+    objects.  Secure aggregation runs through the hierarchical shard tree
     (:mod:`repro.federated.secure_agg.hierarchy`): vectorized masking
     kernels per shard, submission matrices built one shard at a time, at
     most ``REPRO_WORKERS`` shards in flight.
@@ -519,11 +556,13 @@ class FederatedMeanQuery:
         """Execute the query end-to-end and return the mean estimate.
 
         ``population`` may be a ``Sequence[ClientDevice]`` or a columnar
-        :class:`~repro.core.client_plane.ClientBatch`.
+        :class:`~repro.core.client_plane.ClientBatch`; see the class
+        docstring for how object populations enter the engine.
         """
         gen = ensure_rng(rng)
         tracer = get_tracer()
         metrics = get_metrics()
+        columnar = isinstance(population, ClientBatch)
         with tracer.span(
             "federated.query",
             {"mode": self.mode, "secure_aggregation": self.secure_aggregation},
@@ -531,29 +570,34 @@ class FederatedMeanQuery:
             with tracer.span(
                 "federated.cohort_select", {"population": len(population)}
             ) as select_span:
-                cohort = self.selector.select(population, eligibility, cohort_size, gen)
-                select_span.set_attribute("cohort_size", len(cohort))
-            metrics.gauge("cohort_size").set(len(cohort))
-            query_span.set_attribute("cohort_size", len(cohort))
+                positions = self.selector.select_indices(population, eligibility, cohort_size, gen)
+                n_cohort = int(positions.size)
+                select_span.set_attribute("cohort_size", n_cohort)
+            metrics.gauge("cohort_size").set(n_cohort)
+            query_span.set_attribute("cohort_size", n_cohort)
+            draw = _CohortDraw(
+                population,
+                population if columnar else ClientBatch.from_devices(population),
+                eligibility,
+                self.selector,
+            )
 
             if self.mode == "basic":
-                outcome = self._run_round_with_recovery(
-                    cohort, self.schedule, gen, round_index=1,
-                    population=population, eligibility=eligibility,
+                outcome, _ = self._run_round_with_recovery(
+                    draw, positions, self.schedule, gen, round_index=1
                 )
                 outcomes = [outcome]
                 pooled_means = outcome.summary.bit_means
                 pooled_counts = outcome.summary.counts
             else:
-                n_round1 = min(max(int(round(self.delta * len(cohort))), 1), len(cohort) - 1)
-                order = gen.permutation(len(cohort))
-                cohort1 = _subset(cohort, order[:n_round1])
-                cohort2 = _subset(cohort, order[n_round1:])
+                n_round1 = min(max(int(round(self.delta * n_cohort)), 1), n_cohort - 1)
+                # Shuffles exactly as ``positions[gen.permutation(size)]``.
+                positions = gen.permutation(positions)
+                positions1, positions2 = positions[:n_round1], positions[n_round1:]
 
                 schedule1 = BitSamplingSchedule.geometric(self.encoder.n_bits, gamma=self.gamma)
-                outcome1 = self._run_round_with_recovery(
-                    cohort1, schedule1, gen, round_index=1,
-                    population=population, eligibility=eligibility,
+                outcome1, positions1 = self._run_round_with_recovery(
+                    draw, positions1, schedule1, gen, round_index=1, held=positions2
                 )
                 round1_means = outcome1.summary.bit_means
                 if self.squash_multiple > 0 and self.perturbation is not None:
@@ -561,9 +605,8 @@ class FederatedMeanQuery:
                     round1_means, _ = squash_bit_means(round1_means, threshold)
 
                 schedule2 = BitSamplingSchedule.from_bit_means(round1_means, alpha=self.alpha)
-                outcome2 = self._run_round_with_recovery(
-                    cohort2, schedule2, gen, round_index=2,
-                    population=population, eligibility=eligibility,
+                outcome2, _ = self._run_round_with_recovery(
+                    draw, positions2, schedule2, gen, round_index=2, held=positions1
                 )
                 outcomes = [outcome1, outcome2]
 
@@ -599,13 +642,13 @@ class FederatedMeanQuery:
                     self.encoder,
                     pooled_means,
                     pooled_counts,
-                    len(cohort),
+                    n_cohort,
                     f"federated-{self.mode}",
                     squashed,
                     secure_aggregation=self.secure_aggregation,
                     elicitation=self.elicitation,
                     ldp=self.perturbation is not None,
-                    columnar=isinstance(population, ClientBatch),
+                    columnar=columnar,
                 )
                 reconstruct_span.set_attribute("squashed_bits", list(squashed))
                 reconstruct_span.set_attribute("estimate", estimate.value)
@@ -614,22 +657,24 @@ class FederatedMeanQuery:
     # ------------------------------------------------------------------
     def _run_round_with_recovery(
         self,
-        clients: Population,
+        draw: _CohortDraw,
+        positions: np.ndarray,
         schedule: BitSamplingSchedule,
         gen: np.random.Generator,
         round_index: int = 1,
-        population: Population | None = None,
-        eligibility: Eligibility | None = None,
-    ) -> RoundOutcome:
+        held: np.ndarray | None = None,
+    ) -> tuple[RoundOutcome, np.ndarray]:
         """Run one round, retrying failed attempts under the configured policy.
 
         Each attempt is a full :meth:`_run_round` execution (the fault
         schedule's clock ticks per attempt).  On failure: if attempts
         remain, wait out the policy's exponential backoff in simulated
-        time, optionally re-draw a fresh cohort from the eligible
-        population, and try again; otherwise the failure propagates.  The
-        returned outcome records the attempt count, accumulated backoff,
-        and every attempt's ``(planned, survived)`` pair.
+        time, optionally re-draw a fresh cohort from the eligible clients
+        outside ``held`` (the other adaptive round's cohort, so no client
+        answers both rounds), and try again; otherwise the failure
+        propagates.  Returns the outcome -- recording the attempt count,
+        accumulated backoff, and every attempt's ``(planned, survived)``
+        pair -- and the positions of the cohort that completed.
         """
         lifecycle = RoundLifecycle(
             self.encoder.n_bits,
@@ -643,17 +688,18 @@ class FederatedMeanQuery:
         )
         while True:
             try:
-                return lifecycle.finish(self._run_round(clients, schedule, gen, lifecycle))
+                outcome = self._run_round(draw.clients(positions), schedule, gen, lifecycle)
+                return lifecycle.finish(outcome), positions
             except RoundFailedError as exc:
                 if not lifecycle.retry(exc):
                     raise
-                if self.retry.redraw_cohort and population is not None:
-                    clients = self.selector.select(population, eligibility, len(clients), gen)
+                if self.retry.redraw_cohort:
+                    positions = draw.redraw(positions.size, held, gen)
 
     # ------------------------------------------------------------------
     def _run_round(
         self,
-        clients: Population,
+        clients: ClientBatch,
         schedule: BitSamplingSchedule,
         gen: np.random.Generator,
         lifecycle: RoundLifecycle,
@@ -712,35 +758,20 @@ class FederatedMeanQuery:
             lifecycle.check_quorum(round_span, n, int(survivors.size))
 
             # Client-side: elicit one value each, meter the single-bit disclosure.
-            # Batched across survivors -- stream-identical to per-client
-            # elicit() calls, and one meter transaction per round.  Columnar
-            # populations elicit straight from the flat value arrays in
-            # bounded-memory chunks.
-            columnar = isinstance(clients, ClientBatch)
-            live = None
-            with tracer.span(
-                "round.elicit",
-                {"n_clients": int(survivors.size), "columnar": columnar},
-            ):
-                if columnar:
-                    live = clients.take(survivors)
-                    values = elicit_values(
-                        live, self.elicitation, gen, chunk=self.chunk_clients
-                    )
-                else:
-                    values = elicit_batch(
-                        [clients[i].values for i in survivors], self.elicitation, gen
-                    )
+            # Elicitation streams straight from the flat value arrays in
+            # bounded-memory chunks, and one meter transaction covers the round.
+            with tracer.span("round.elicit", {"n_clients": int(survivors.size)}):
+                values = elicit_values(
+                    clients.take(survivors), self.elicitation, gen, chunk=self.chunk_clients
+                )
                 # Secure mode meters after shard recovery instead: a failed
                 # shard's masked rows are never unmasked, so those clients
                 # disclose nothing, and metering after the inclusion quorum
                 # check keeps retried attempts from double-recording.
                 if self.meter is not None and not self.secure_aggregation:
-                    if columnar:
-                        ids = [int(i) for i in live.client_ids]
-                    else:
-                        ids = [clients[i].client_id for i in survivors]
-                    self.meter.record_batch(ids, self.metric_name)
+                    self.meter.record_batch(
+                        clients.client_ids[survivors].tolist(), self.metric_name
+                    )
             live_assignment = assignment[survivors]
 
             shard_failures = 0
@@ -767,17 +798,14 @@ class FederatedMeanQuery:
                 survived_count = int(included.size)
                 lifecycle.check_quorum(round_span, n, survived_count, secure=True)
                 if self.meter is not None:
-                    if columnar:
-                        positions = np.searchsorted(survivors, included)
-                        ids = [int(i) for i in np.asarray(live.client_ids)[positions]]
-                    else:
-                        ids = [clients[int(i)].client_id for i in included]
-                    self.meter.record_batch(ids, self.metric_name)
+                    self.meter.record_batch(
+                        clients.client_ids[included].tolist(), self.metric_name
+                    )
             else:
                 # Chunk-streamed encode + extract + perturb + aggregate
                 # (client_plane.collect spans per chunk); bit-identical to
                 # the historical encode-then-collect_bit_reports for any
-                # chunk size, for both population representations.
+                # chunk size.
                 with tracer.span("round.collect", {"n_clients": int(survivors.size)}):
                     sums, counts = collect_client_reports(
                         values,

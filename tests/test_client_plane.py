@@ -1,9 +1,10 @@
 """Columnar client plane: ClientBatch, chunked kernels, and bit-identity twins.
 
 The contract under test (see ``src/repro/core/client_plane.py``): every
-columnar kernel consumes randomness exactly as its object-path twin, for
-*any* chunk size -- including chunk = 1 and chunk > n -- so object and
-columnar populations produce bit-identical estimates for the same seed.
+columnar kernel consumes randomness exactly as the per-client scalar
+reference (``elicit_single_value`` once per client, in order), for *any*
+chunk size -- including chunk = 1 and chunk > n -- so object and columnar
+populations produce bit-identical estimates for the same seed.
 """
 
 import numpy as np
@@ -39,10 +40,15 @@ from repro.federated import (
     NetworkModel,
     attribute_equals,
 )
-from repro.federated.multivalue import elicit_batch, ground_truth_mean
-from repro.privacy import RandomizedResponse
+from repro.federated.multivalue import elicit_single_value, ground_truth_mean
+from repro.privacy import BitMeter, RandomizedResponse
 
 CHUNKS = (1, 3, 7, 50, 200, 100_000)  # includes chunk = 1 and chunk > n
+
+
+def scalar_elicit(devices, strategy, gen=None):
+    """The reference: one scalar elicitation per client, in order."""
+    return np.array([elicit_single_value(d.values, strategy, gen) for d in devices])
 
 
 def make_devices(n=120, seed=5, multi=True):
@@ -162,16 +168,18 @@ class TestElicitValues:
     @pytest.mark.parametrize("strategy", ["sample", "max", "latest"])
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_exact_twin(self, devices, batch, strategy, chunk):
-        reference = elicit_batch(
-            [d.values for d in devices], strategy, np.random.default_rng(11)
-        )
-        columnar = elicit_values(batch, strategy, np.random.default_rng(11), chunk=chunk)
+        gen_loop = np.random.default_rng(11)
+        gen_batch = np.random.default_rng(11)
+        reference = scalar_elicit(devices, strategy, gen_loop)
+        columnar = elicit_values(batch, strategy, gen_batch, chunk=chunk)
         np.testing.assert_array_equal(columnar, reference)
+        # The columnar kernel must consume the stream exactly as the loop did.
+        assert gen_batch.bit_generator.state == gen_loop.bit_generator.state
 
     def test_mean_twin_allclose(self, devices, batch):
         # "mean" is the documented ulp exception: reduceat (sequential) vs
         # ndarray.mean (pairwise) summation order.
-        reference = elicit_batch([d.values for d in devices], "mean")
+        reference = scalar_elicit(devices, "mean")
         np.testing.assert_allclose(elicit_values(batch, "mean"), reference, rtol=1e-15)
 
     def test_unknown_strategy(self, batch):
@@ -252,7 +260,8 @@ class TestAccumulateBitReports:
 
 
 # ----------------------------------------------------------------------
-# Estimator twins: object path vs columnar path, chunk-invariant
+# Estimator twins: scalar elicitation vs the columnar entry
+# ``est.estimate(elicit_values(batch, ...), gen)``, chunk-invariant
 # ----------------------------------------------------------------------
 
 
@@ -280,15 +289,10 @@ class TestEstimatorTwins:
         cls = BasicBitPushing if mode == "basic" else AdaptiveBitPushing
         encoder = FixedPointEncoder.for_integers(10)
 
-        def object_path():
-            gen = np.random.default_rng(17)
-            values = elicit_batch([d.values for d in devices], "sample", gen)
-            return cls(encoder).estimate(values, gen)
-
-        reference = object_path()
-        columnar = cls(encoder).estimate_clients(
-            batch, rng=np.random.default_rng(17), chunk=chunk
-        )
+        gen = np.random.default_rng(17)
+        reference = cls(encoder).estimate(scalar_elicit(devices, "sample", gen), gen)
+        gen = np.random.default_rng(17)
+        columnar = cls(encoder).estimate(elicit_values(batch, "sample", gen, chunk), gen)
         assert columnar.value == reference.value
         np.testing.assert_array_equal(columnar.counts, reference.counts)
 
@@ -306,15 +310,10 @@ class TestEstimatorTwins:
     )
     @pytest.mark.parametrize("chunk", [1, 37])
     def test_baseline_estimate_clients_twin(self, devices, batch, factory, chunk):
-        def object_path():
-            gen = np.random.default_rng(23)
-            values = elicit_batch([d.values for d in devices], "sample", gen)
-            return factory().estimate(values, gen)
-
-        reference = object_path()
-        columnar = factory().estimate_clients(
-            batch, rng=np.random.default_rng(23), chunk=chunk
-        )
+        gen = np.random.default_rng(23)
+        reference = factory().estimate(scalar_elicit(devices, "sample", gen), gen)
+        gen = np.random.default_rng(23)
+        columnar = factory().estimate(elicit_values(batch, "sample", gen, chunk), gen)
         assert columnar.value == reference.value
         assert columnar.n_clients == reference.n_clients
         assert columnar.method == reference.method
@@ -326,13 +325,18 @@ class TestEstimatorTwins:
 
 
 class TestFederatedTwins:
-    def run_query(self, population, mode, ldp, chunk_clients, seed=41):
+    def run_query(
+        self, population, mode, ldp, chunk_clients, seed=41, elicitation="sample", meter=None
+    ):
         query = FederatedMeanQuery(
-            FixedPointEncoder.for_integers(8),
+            # 10 bits cover the population's ~600 values without clipping.
+            FixedPointEncoder.for_integers(10),
             mode=mode,
             perturbation=RandomizedResponse(epsilon=2.0) if ldp else None,
             dropout=DropoutModel(rate=0.1),
             network=NetworkModel(loss_rate=0.05),
+            meter=meter,
+            elicitation=elicitation,
             chunk_clients=chunk_clients,
         )
         return query.run(
@@ -345,13 +349,27 @@ class TestFederatedTwins:
     @pytest.mark.parametrize("mode", ["basic", "adaptive"])
     @pytest.mark.parametrize("ldp", [False, True])
     def test_run_twin(self, devices, batch, mode, ldp):
-        reference = self.run_query(devices, mode, ldp, None)
-        for chunk in (None, 1, 13):
-            columnar = self.run_query(batch, mode, ldp, chunk)
-            assert columnar.value == reference.value
-            for ref_round, col_round in zip(reference.rounds, columnar.rounds):
-                np.testing.assert_array_equal(col_round.bit_means, ref_round.bit_means)
-                np.testing.assert_array_equal(col_round.counts, ref_round.counts)
+        # Multi-valued, non-integer clients: every elicitation strategy,
+        # "mean" included, is exact once objects convert at the boundary.
+        def recorded(meter):
+            return [d.client_id for d in devices if meter.bits_disclosed_by(d.client_id)]
+
+        for elicitation in ("sample", "max", "latest", "mean"):
+            ref_meter = BitMeter(max_bits_per_value=1)
+            reference = self.run_query(
+                devices, mode, ldp, None, elicitation=elicitation, meter=ref_meter
+            )
+            assert recorded(ref_meter)
+            for chunk in (None, 1, 13):
+                meter = BitMeter(max_bits_per_value=1)
+                columnar = self.run_query(
+                    batch, mode, ldp, chunk, elicitation=elicitation, meter=meter
+                )
+                assert columnar.value == reference.value
+                for ref_round, col_round in zip(reference.rounds, columnar.rounds):
+                    np.testing.assert_array_equal(col_round.bit_means, ref_round.bit_means)
+                    np.testing.assert_array_equal(col_round.counts, ref_round.counts)
+                assert recorded(meter) == recorded(ref_meter)
 
     def test_metadata_flags_columnar(self, devices, batch):
         assert self.run_query(batch, "basic", False, None).metadata["columnar"] is True

@@ -8,13 +8,22 @@ counts -- plus the error paths that protect the contract.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core import BasicBitPushing, BitSamplingSchedule, FixedPointEncoder
+from repro.core import (
+    BasicBitPushing,
+    BitSamplingSchedule,
+    ClientBatch,
+    FixedPointEncoder,
+    elicit_values,
+)
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.experiments import figure_1a, render_series_table
-from repro.federated.multivalue import elicit_batch, elicit_single_value
+from repro.federated import ClientDevice
+from repro.federated.multivalue import elicit_single_value
 from repro.metrics.execution import (
     CellTask,
     ParallelExecutor,
@@ -316,7 +325,7 @@ class TestExecutorObservability:
 
 
 # ----------------------------------------------------------------------
-# Satellite kernels: elicit_batch and BitMeter.record_batch
+# Satellite kernels: columnar elicitation and BitMeter.record_batch
 # ----------------------------------------------------------------------
 
 
@@ -330,14 +339,21 @@ class TestElicitBatch:
         looped = np.array(
             [elicit_single_value(v, strategy, gen_loop) for v in value_sets]
         )
-        batched = elicit_batch(value_sets, strategy, gen_batch)
-        np.testing.assert_array_equal(looped, batched)
+        batch = ClientBatch.from_devices(ClientDevice(i, v) for i, v in enumerate(value_sets))
+        batched = elicit_values(batch, strategy, gen_batch, chunk=7)
+        if strategy == "mean":
+            # The documented ulp exception: reduceat vs pairwise summation.
+            np.testing.assert_allclose(batched, looped, rtol=1e-15)
+        else:
+            np.testing.assert_array_equal(batched, looped)
         # The batched path must consume the stream exactly as the loop did.
         assert gen_batch.bit_generator.state == gen_loop.bit_generator.state
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigurationError):
-            elicit_batch([np.array([1.0]), np.array([])], "sample", np.random.default_rng(0))
+            ClientBatch.from_devices(
+                [SimpleNamespace(values=np.array([1.0])), SimpleNamespace(values=np.array([]))]
+            )
 
 
 class TestBitMeterBatch:

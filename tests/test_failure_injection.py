@@ -217,6 +217,26 @@ class TestFederatedQueryFailureModes:
         (history,) = est.metadata["attempt_history"]
         assert history[0][1] < 150 <= history[1][1]
 
+    @pytest.mark.parametrize("cohort_size", [None, 150])
+    @pytest.mark.parametrize("spec", ["1:blackout", "2:blackout"])
+    def test_adaptive_redraw_keeps_rounds_disjoint(self, encoder8, spec, cohort_size):
+        # Regression: a retry that redraws its cohort must not take the other
+        # adaptive round's clients, or a metered client discloses two bits.
+        from repro.privacy import BitMeter
+
+        meter = BitMeter(max_bits_per_value=1)
+        query = FederatedMeanQuery(
+            encoder8,
+            meter=meter,
+            retry=RetryPolicy(max_attempts=3),
+            faults=FaultSchedule.from_spec(spec),
+        )
+        est = query.run(self._population(300), rng=4, cohort_size=cohort_size)
+        retried = int(spec[0]) - 1
+        assert est.metadata["round_attempts"][retried] == 2
+        assert est.metadata["attempt_history"][retried][0][1] == 0
+        assert meter.total_bits == sum(est.metadata["surviving_clients"])
+
     def test_network_blackout_recovered_when_fault_lifts(self, encoder8):
         # The *base* network is fine; the fault schedule makes attempt 1
         # hopeless, and the retry runs under the base weather again.

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import ClientBatch
 from repro.exceptions import CohortTooSmallError, ConfigurationError, PrivacyBudgetExceeded
 from repro.federated import (
+    ELICITATION_STRATEGIES,
     ClientDevice,
     CohortSelector,
     DropoutModel,
@@ -86,6 +88,10 @@ class TestMultivalue:
     def test_ground_truth_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             ground_truth_mean([], "sample")
+        for empty in (ClientBatch(np.empty(0), [0]), ClientBatch.from_values([])):
+            for strategy in ELICITATION_STRATEGIES:
+                with pytest.raises(ConfigurationError, match="at least one client"):
+                    ground_truth_mean(empty, strategy)
 
 
 class TestDropout:

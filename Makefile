@@ -35,16 +35,19 @@ bench-check: bench
 
 # Scale studies at full size: the columnar client plane (10**5..10**7
 # clients -- clients/sec per population size, object-path speedup,
-# tracemalloc peak), the secure-aggregation hierarchy (vectorized
-# masking vs the per-client submit loop at 10**4 clients), and the
+# tracemalloc peak), the secure-aggregation hierarchy (shard-group
+# kernels vs the per-client submit loop at 10**4 clients, and alone at
+# 10**5), and the
 # wire-served round (loopback TCP reports/sec, single and concurrent
 # campaigns).  Appends to the repo-root BENCH_scale.json trajectory,
 # then gates on it: the run fails if any shared throughput rate dropped
-# past the tolerance vs the previous entry.
+# past the tolerance vs the previous entry.  `make bench-scale LABEL=prN`
+# labels the new entry (default: unlabeled).
 bench-scale:
 	REPRO_SCALE_CLIENTS=100000,1000000,10000000 \
 		pytest benchmarks/bench_scale.py -k "columnar or secure or served" --benchmark-only -s
-	python scripts/bench_summary.py --scale benchmarks/results/scale.json BENCH_scale.json
+	python scripts/bench_summary.py --scale benchmarks/results/scale.json BENCH_scale.json \
+		$(if $(LABEL),--label $(LABEL))
 	python scripts/bench_summary.py --check --scale BENCH_scale.json
 
 # Record one deterministic flight-recorder run and render its report --

@@ -184,8 +184,10 @@ def test_columnar_round_throughput(benchmark, emit):
 
 
 #: Secure-aggregation study size: the acceptance target is >= 5x the
-#: per-client loop's clients/sec at 10**4 clients.
+#: per-client loop's clients/sec at 10**4 clients.  The hierarchical path
+#: alone is also recorded at SECURE_SCALE_N clients.
 SECURE_N = 10_000
+SECURE_SCALE_N = 100_000
 SECURE_VECTOR_LENGTH = 16
 SECURE_SHARD_SIZE = 32
 
@@ -194,9 +196,10 @@ def test_secure_agg_throughput(benchmark, emit):
     """Hierarchical vectorized masking vs the per-client submit loop.
 
     Both paths run the identical protocol over the identical shard tree
-    (same sessions, same seeds, same Shamir recovery) and must produce the
-    same total; the only difference is ``submit_batch`` + array kernels vs
-    one ``submit`` call per client.
+    (same per-shard seeds, same Shamir recovery) and must produce the same
+    total; the difference is shard-group kernel passes vs one session and
+    one ``submit`` call per client.  The hierarchical path is then timed
+    alone at ``SECURE_SCALE_N`` clients for the trajectory.
     """
     from repro.federated.secure_agg import (
         SecureAggregationSession,
@@ -236,9 +239,17 @@ def test_secure_agg_throughput(benchmark, emit):
         loop_total, loop_seconds = per_client_loop()
         np.testing.assert_array_equal(result.total, vectors.sum(axis=0))
         np.testing.assert_array_equal(loop_total, vectors.sum(axis=0))
-        return vec_seconds, loop_seconds, len(result.shards)
+        start = time.perf_counter()
+        scale_result = hierarchical_secure_sum(
+            scale_vectors, shard_size=SECURE_SHARD_SIZE, rng=2
+        )
+        scale_seconds = time.perf_counter() - start
+        np.testing.assert_array_equal(scale_result.total, scale_vectors.sum(axis=0))
+        return vec_seconds, loop_seconds, len(result.shards), scale_seconds
 
-    vec_seconds, loop_seconds, n_shards = run_once(benchmark, run)
+    scale_vectors = rng.integers(0, 2, size=(SECURE_SCALE_N, SECURE_VECTOR_LENGTH))
+    vec_seconds, loop_seconds, n_shards, scale_seconds = run_once(benchmark, run)
+    scale_rate = SECURE_SCALE_N / scale_seconds
     vec_rate = SECURE_N / vec_seconds
     loop_rate = SECURE_N / loop_seconds
     speedup = loop_seconds / vec_seconds
@@ -257,6 +268,11 @@ def test_secure_agg_throughput(benchmark, emit):
                     "clients_per_s": loop_rate,
                 },
                 "speedup_vs_loop": speedup,
+                "scale": {
+                    "n": SECURE_SCALE_N,
+                    "seconds": scale_seconds,
+                    "clients_per_s": scale_rate,
+                },
             }
         }
     )
@@ -275,6 +291,8 @@ def test_secure_agg_throughput(benchmark, emit):
                 "|---|---|---|",
                 f"| vectorized hierarchical | {vec_seconds:.3f} | {vec_rate:,.0f} |",
                 f"| per-client submit loop | {loop_seconds:.3f} | {loop_rate:,.0f} |",
+                f"| vectorized hierarchical, n = {SECURE_SCALE_N:,} | {scale_seconds:.3f} "
+                f"| {scale_rate:,.0f} |",
                 "",
                 f"speedup: {speedup:.1f}x",
             ]

@@ -82,7 +82,8 @@ def summarize_scale(payload: dict, label: str | None = None) -> dict:
     object-path speedup at the reference size, the streaming chunk, the
     tracemalloc peak per client at the largest size, and -- when the
     secure-aggregation study ran -- the hierarchical masking throughput
-    and its speedup over the per-client submit loop, plus the wire-served
+    (at the study size and, when recorded, at its larger scale size) and
+    its speedup over the per-client submit loop, plus the wire-served
     round throughput (single and concurrent campaigns) when that study ran.
     """
     columnar = payload.get("columnar", {})
@@ -110,6 +111,11 @@ def summarize_scale(payload: dict, label: str | None = None) -> dict:
             "clients_per_s": secure.get("clients_per_s"),
             "speedup_vs_loop": secure.get("speedup_vs_loop"),
         }
+        if secure.get("scale"):
+            entry["secure_agg"]["scale"] = {
+                "n": secure["scale"].get("n"),
+                "clients_per_s": secure["scale"].get("clients_per_s"),
+            }
     if serve:
         campaigns = serve.get("campaigns") or {}
         entry["serve"] = {
@@ -211,8 +217,9 @@ def _scale_rates(entry: dict) -> dict[str, float]:
         if rate:
             rates[f"columnar@{n}"] = float(rate)
     secure = entry.get("secure_agg") or {}
-    if secure.get("clients_per_s"):
-        rates[f"secure_agg@{secure.get('n')}"] = float(secure["clients_per_s"])
+    for study in (secure, secure.get("scale") or {}):
+        if study.get("clients_per_s"):
+            rates[f"secure_agg@{study.get('n')}"] = float(study["clients_per_s"])
     serve = entry.get("serve") or {}
     if serve.get("reports_per_s"):
         rates[f"serve@{serve.get('n_clients')}"] = float(serve["reports_per_s"])

@@ -14,6 +14,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,9 @@ DEFAULT_PRIME = (1 << 61) - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, memoized: fields are rebuilt per session."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -62,6 +65,14 @@ _LOW31 = np.uint64(0x7FFFFFFF)
 _SHIFT31 = np.uint64(31)
 _SHIFT30 = np.uint64(30)
 _ONE = np.uint64(1)
+
+# Exact float64 matrix products: operands split into three 21-bit limbs,
+# so one limb product is < 2**42, and an output entry sums at most
+# 3 * _MATMUL_CHUNK of them -- below 2**53, exact in any summation order.
+_LIMB_BITS = 21
+_LIMBS = 3
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_MATMUL_CHUNK = 682
 
 
 def _reduce_m61(x: np.ndarray) -> np.ndarray:
@@ -228,43 +239,76 @@ class PrimeField:
         return np.array(out, dtype=np.uint64).reshape(a2.shape)
 
     def sum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Exact mod-``p`` column sum of a ``(k, length)`` reduced array.
+        """Exact mod-``p`` sum over the row axis (``-2``) of entries ``<= p``.
 
-        Rows are folded in blocks small enough that the running uint64
-        partial sums cannot wrap: with ``p < 2**63`` at least 2 rows fit per
-        block, and the default 61-bit prime allows 7 -- so the reduction is
-        O(k/block) numpy passes, not O(k) Python additions.
+        A ``(k, length)`` array sums to one ``(length,)`` vector; leading
+        axes are kept, so ``(G, k, length)`` sums to ``(G, length)`` -- one
+        reduction for every shard of a group.  Rows are folded in blocks
+        small enough that the running uint64 partial sums cannot wrap: with
+        ``p < 2**63`` at least 2 rows fit per block, and the default 61-bit
+        prime allows 7 -- so the reduction is O(k/block) numpy passes, not
+        O(k) Python additions.
         """
         self._require_vectorizable()
         rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
         p = np.uint64(self.modulus)
-        # How many (p-1)-sized values fit in uint64 alongside the (p-1)-sized
-        # accumulator: block * (p-1) + (p-1) <= 2**64 - 1.
-        block = max(1, ((1 << 64) - 1) // (self.modulus - 1) - 1)
-        total = np.zeros(rows.shape[-1], dtype=np.uint64)
-        for start in range(0, rows.shape[0], block):
-            total = (total + rows[start : start + block].sum(axis=0)) % p
+        # How many values <= p fit in uint64 alongside the reduced
+        # accumulator: block * p + (p - 1) <= 2**64 - 1.  Admitting p itself
+        # lets callers fold unreduced negations p - x.
+        block = ((1 << 64) - self.modulus) // self.modulus
+        total = np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=np.uint64)
+        for start in range(0, rows.shape[-2], block):
+            total += rows[..., start : start + block, :].sum(axis=-2)
+            total %= p
         return total
 
-    def sum_indexed(self, rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Per-row mod-``p`` sums of gathered rows.
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact ``(a @ b) mod p`` for reduced ``(m, t)`` and ``(t, n)`` arrays.
 
-        ``out[i] = sum_j rows[indices[i, j]] mod p`` -- the vectorized twin
-        of one :meth:`sum_rows` call per index row, for ragged "each output
-        sums a different subset" workloads (pad short index lists with the
-        index of an all-zero row appended to ``rows``).  Same block-folded
-        overflow discipline as :meth:`sum_rows`.
+        Both operands split into three 21-bit limbs, and one float64 matrix
+        product collects every limb product by weight: ``a``'s limbs sit
+        side by side, ``b``'s limbs fill a block-Toeplitz matrix, so output
+        block ``k`` is ``sum_{i+j=k} a_i @ b_j``, the partial sum of weight
+        ``2**(21 k)``.  Each entry adds at most ``3 t`` limb products below
+        ``2**42``; with the inner axis chunked to 682 that stays below
+        ``2**53``, so BLAS computes it exactly in any summation order.  The
+        five weighted blocks then fold exactly in uint64.
         """
         self._require_vectorizable()
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-        indices = np.atleast_2d(indices)
-        p = np.uint64(self.modulus)
-        block = max(1, ((1 << 64) - 1) // (self.modulus - 1) - 1)
-        total = np.zeros((indices.shape[0], rows.shape[-1]), dtype=np.uint64)
-        for start in range(0, indices.shape[1], block):
-            chunk = rows[indices[:, start : start + block]]
-            total = (total + chunk.sum(axis=1)) % p
-        return total
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        (m, inner), n = a.shape, b.shape[1]
+        weights = 2 * _LIMBS - 1
+        shifts = np.arange(_LIMBS, dtype=np.uint64) * np.uint64(_LIMB_BITS)
+        bits = np.arange(weights, dtype=np.uint64)[:, None, None] * np.uint64(_LIMB_BITS)
+        out = np.zeros((m, n), dtype=np.uint64)
+        for start in range(0, inner, _MATMUL_CHUNK):
+            a_part, b_part = a[:, start : start + _MATMUL_CHUNK], b[start : start + _MATMUL_CHUNK]
+            t = a_part.shape[1]
+            a_limbs = (a_part[:, None, :] >> shifts[:, None]) & _LIMB_MASK
+            b_limbs = (b_part[None] >> shifts[:, None, None]) & _LIMB_MASK
+            # toeplitz[k] stacks b_{k-i} under a's limb i, so a's side-by-side
+            # limbs times toeplitz[k] is the weight-k partial sum.
+            toeplitz = np.zeros((weights, _LIMBS, t, n))
+            for i in range(_LIMBS):
+                toeplitz[i : i + _LIMBS, i] = b_limbs
+            by_weight = np.matmul(
+                a_limbs.reshape(m, _LIMBS * t).astype(np.float64),
+                toeplitz.reshape(weights, _LIMBS * t, n),
+            ).astype(np.uint64)
+            if self.modulus <= 1 << 53:  # entries are below 2**53
+                by_weight %= np.uint64(self.modulus)
+            weighted = self._times_pow2(by_weight, bits).reshape(weights, m * n)
+            out = self.add_arrays(out, self.sum_rows(weighted).reshape(m, n))
+        return out
+
+    def _times_pow2(self, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """``(x * 2**bits) mod p`` for a reduced array: a rotation for 2**61 - 1."""
+        if self.modulus == DEFAULT_PRIME:
+            r = bits % _M61_BITS
+            return ((x << r) & _M61) | (x >> (_M61_BITS - r))
+        factors = [pow(2, int(k), self.modulus) for k in np.ravel(bits)]
+        return self.mul_arrays(x, np.array(factors, dtype=np.uint64).reshape(np.shape(bits)))
 
     def centered_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`centered`: field elements to signed ``int64``."""

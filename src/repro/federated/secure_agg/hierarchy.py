@@ -5,11 +5,11 @@ is why a central aggregator bottlenecks past a few hundred clients (the
 DisAgg line of work distributes exactly this).  This module arranges the
 cohort as a two-level tree instead:
 
-* **Leaves**: contiguous *shards* of ``shard_size`` clients, each running
-  its own :class:`~repro.federated.secure_agg.protocol.SecureAggregationSession`
-  with the canonical 2/3 threshold.  Dropout recovery -- survivor seed
-  reveal plus Shamir reconstruction -- happens *inside* the shard, so a
-  client's disappearance costs O(shard_size) work, not O(n).
+* **Leaves**: contiguous *shards* of ``shard_size`` clients, each an
+  independent masking session with the canonical 2/3 threshold.  Dropout
+  recovery -- survivor seed reveal plus Shamir reconstruction -- happens
+  *inside* the shard, so a client's disappearance costs O(shard_size)
+  work, not O(n).
 * **Root**: per-shard partial sums are already unmasked exact integers, so
   the root aggregator is plain integer addition -- commutative and exact,
   which makes the merge order (and therefore the worker schedule) irrelevant
@@ -21,16 +21,25 @@ clients are excluded from the total, but the other shards' sums still
 aggregate.  Callers degrade rather than abort: the server widens the round's
 variance accounting and raises a health alert instead of failing the round.
 
-**Parallelism.**  Shards are independent sessions, so they fan out over a
-``fork``-based process pool (one worker per shard, bounded by ``workers``).
+**Group passes.**  Consecutive shards of equal size run together as one
+:class:`~repro.federated.secure_agg.protocol.ShardGroup`: setup, masking
+and recovery are kernel passes over arrays with a leading shard axis, so
+Python overhead is paid per group, not per shard.  The group size comes
+from one fixed budget, :data:`PHILOX_BLOCKS_PER_PASS`: enough shards to
+amortize the per-pass numpy calls, few enough that a pass's buffers stay
+cache-sized and peak memory does not grow with the cohort.
+
+**Parallelism.**  Groups are independent, so they fan out over a
+``fork``-based process pool (one group per task, bounded by ``workers``).
 Determinism follows the executor discipline of
 :func:`repro.metrics.execution.spawn_seed_sequences`: shard ``i`` always
-seeds its session from the ``i``-th spawned child of the caller's generator,
-so results are bit-identical for every worker count and completion order.
-Workers run with tracing disabled and ship a private metrics snapshot back
-for the parent to merge, exactly like the trial executors.  Shard inputs are
-consumed lazily with at most ``workers`` shards in flight, so aggregating a
-large cohort never materializes cohort-sized arrays.
+seeds its setup from the ``i``-th spawned child of the caller's generator,
+whatever group it lands in, so results are bit-identical for every worker
+count and completion order.  Workers run with tracing disabled and ship a
+private metrics snapshot back for the parent to merge, exactly like the
+trial executors.  Shard inputs are consumed lazily with at most ``workers``
+groups in flight, so aggregating a large cohort never materializes
+cohort-sized arrays.
 """
 
 from __future__ import annotations
@@ -44,10 +53,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SecureAggregationError
-from repro.federated.secure_agg.protocol import (
-    SecureAggregationSession,
-    default_threshold,
-)
+from repro.federated.secure_agg.field import PrimeField
+from repro.federated.secure_agg.protocol import ShardGroup, default_threshold, finalize_span
 from repro.metrics.execution import (
     _FORK_AVAILABLE,
     resolve_workers,
@@ -64,6 +71,20 @@ __all__ = [
     "aggregate_shards",
     "hierarchical_secure_sum",
 ]
+
+
+#: Philox blocks (four 64-bit words each) one group pass may expand for
+#: masking.  Shards join a group until their pair and self seeds would
+#: pass this budget: about 2-4k pair seeds per pass at the round's vector
+#: lengths, where the kernels run at their cache sweet spot.
+PHILOX_BLOCKS_PER_PASS = 1 << 14
+
+
+def shards_per_pass(n_clients: int, vector_length: int) -> int:
+    """How many ``n_clients``-client shards one group pass holds."""
+    seeds = n_clients * (n_clients - 1) // 2 + n_clients
+    blocks = -(-vector_length // 4)
+    return max(1, PHILOX_BLOCKS_PER_PASS // (seeds * blocks))
 
 
 def shard_bounds(n_clients: int, shard_size: int) -> list[tuple[int, int]]:
@@ -174,64 +195,81 @@ class HierarchicalResult:
         return sum(s.n_clients for s in self.shards if not s.recovered)
 
 
-def _execute_shard(
-    task: ShardTask,
+def _execute_group(
+    tasks: Sequence[ShardTask],
     vector_length: int,
-    seed: np.random.SeedSequence,
+    seeds: Sequence[np.random.SeedSequence],
     bitgen_cls: type,
-) -> ShardOutcome:
-    """Run one shard's masking session end to end (any process).
+) -> list[ShardOutcome]:
+    """Run a group of equal-size shards as one kernel pass (any process).
 
-    A shard that cannot complete -- a singleton (no peer to mask against) or
-    a below-threshold survivor set -- returns ``recovered=False`` instead of
-    raising: shard failure is a contained, reportable outcome, not an error
-    of the tree.
+    Shard ``g`` draws its setup from ``seeds[g]`` alone, so its outcome does
+    not depend on which group it ran in.  A shard that cannot complete -- a
+    singleton (no peer to mask against) or a below-threshold survivor set
+    -- returns ``recovered=False`` instead of raising: shard failure is a
+    contained, reportable outcome, not an error of the tree.  Each
+    outcome's ``duration_s`` is its equal share of the group pass.
     """
     start = time.perf_counter()
-    global_ids = (task.start + np.asarray(task.submitted_ids)).astype(np.int64)
-    if task.n_clients < 2:
-        return ShardOutcome(
-            index=task.index,
-            start=task.start,
-            n_clients=task.n_clients,
-            submitted_global_ids=global_ids,
-            threshold=2,
-            recovered=False,
-            total=None,
-            duration_s=time.perf_counter() - start,
+    n = tasks[0].n_clients
+    field = PrimeField()
+    for task in tasks:
+        if np.shape(task.vectors) != (len(task.submitted_ids), vector_length):
+            raise ConfigurationError(
+                f"shard {task.index}: expected a ({len(task.submitted_ids)}, "
+                f"{vector_length}) vector batch, got {np.shape(task.vectors)}"
+            )
+    shard = np.repeat(np.arange(len(tasks)), [len(t.submitted_ids) for t in tasks])
+    client = np.concatenate([np.asarray(t.submitted_ids, dtype=np.intp) for t in tasks])
+    if client.size and not (client.min() >= 0 and client.max() < n):
+        raise ConfigurationError(f"submitted ids outside a {n}-client shard")
+    submitted = np.zeros((len(tasks), n), dtype=bool)
+    submitted[shard, client] = True
+    if np.count_nonzero(submitted) != client.size:
+        raise SecureAggregationError("a client submitted twice to one shard")
+    threshold = 2
+    if n >= 2:
+        threshold = default_threshold(n)
+        group = ShardGroup.setup(
+            [np.random.Generator(bitgen_cls(seed)) for seed in seeds], n, threshold, field
         )
-    threshold = default_threshold(task.n_clients)
-    session = SecureAggregationSession(
-        n_clients=task.n_clients,
-        vector_length=vector_length,
-        threshold=threshold,
-        rng=np.random.Generator(bitgen_cls(seed)),
-    )
-    session.submit_batch(task.submitted_ids, task.vectors)
-    try:
-        total = np.array(session.finalize(), dtype=np.int64)
-    except SecureAggregationError:
+        vectors = field.reduce_array(np.concatenate([t.vectors for t in tasks]))
+        totals = group.unmask(submitted, group.mask(shard, client, vectors), shard)
+    share_s = (time.perf_counter() - start) / len(tasks)
+    outcomes = []
+    for g, task in enumerate(tasks):
         total = None
-    return ShardOutcome(
-        index=task.index,
-        start=task.start,
-        n_clients=task.n_clients,
-        submitted_global_ids=global_ids,
-        threshold=threshold,
-        recovered=total is not None,
-        total=total,
-        duration_s=time.perf_counter() - start,
-    )
+        if n >= 2:
+            try:
+                with finalize_span(n, int(submitted[g].sum()), threshold):
+                    total = field.centered_array(totals[g])
+            except SecureAggregationError:
+                pass
+        outcomes.append(
+            ShardOutcome(
+                index=task.index,
+                start=task.start,
+                n_clients=n,
+                submitted_global_ids=(task.start + np.asarray(task.submitted_ids)).astype(
+                    np.int64
+                ),
+                threshold=threshold,
+                recovered=total is not None,
+                total=total,
+                duration_s=share_s,
+            )
+        )
+    return outcomes
 
 
-def _forked_shard(
-    task: ShardTask,
+def _forked_group(
+    tasks: Sequence[ShardTask],
     vector_length: int,
-    seed: np.random.SeedSequence,
+    seeds: Sequence[np.random.SeedSequence],
     bitgen_cls: type,
     parent_metrics_enabled: bool,
-) -> tuple[ShardOutcome, dict | None]:
-    """Worker entry point: one shard with worker-private observability.
+) -> tuple[list[ShardOutcome], dict | None]:
+    """Worker entry point: one shard group with worker-private observability.
 
     Mirrors the trial executors' fork discipline: tracing off (a forked
     exporter would interleave writes on the shared descriptor), metrics into
@@ -246,8 +284,8 @@ def _forked_shard(
     if parent_metrics_enabled:
         worker_metrics = MetricsRegistry()
         observability.configure(metrics=worker_metrics)
-    outcome = _execute_shard(task, vector_length, seed, bitgen_cls)
-    return outcome, worker_metrics.snapshot() if worker_metrics is not None else None
+    outcomes = _execute_group(tasks, vector_length, seeds, bitgen_cls)
+    return outcomes, worker_metrics.snapshot() if worker_metrics is not None else None
 
 
 def _record_shard(outcome: ShardOutcome, tracer, metrics) -> None:
@@ -288,11 +326,13 @@ def aggregate_shards(
 ) -> HierarchicalResult:
     """Run every shard's session and merge the recovered partial sums.
 
-    ``tasks`` is consumed lazily: with ``workers > 1`` at most ``workers``
-    shards are in flight at once, so callers can stream shard inputs without
-    ever holding the whole cohort in memory.  Shard ``i`` is seeded from the
-    ``i``-th spawned child of ``rng`` regardless of scheduling, so the result
-    is bit-identical for every worker count (asserted by the twin tests).
+    Consecutive equal-size shards run together in group passes of at most
+    :func:`shards_per_pass` shards.  ``tasks`` is consumed lazily: with
+    ``workers > 1`` at most ``workers`` groups are in flight at once, so
+    callers can stream shard inputs without ever holding the whole cohort
+    in memory.  Shard ``i`` is seeded from the ``i``-th spawned child of
+    ``rng`` regardless of grouping or scheduling, so the result is
+    bit-identical for every worker count (asserted by the twin tests).
 
     ``workers=None`` reads ``REPRO_WORKERS`` (the executor convention).
     Falls back to serial execution when ``fork`` is unavailable.
@@ -303,24 +343,35 @@ def aggregate_shards(
     metrics = get_metrics()
     task_list = tasks if isinstance(tasks, Sequence) else None
 
-    def seeded(task_iter: Iterable[ShardTask]) -> Iterator[tuple[ShardTask, np.random.SeedSequence, type]]:
+    def grouped(task_iter: Iterable[ShardTask]) -> Iterator[tuple[list, list, type]]:
         # Spawn seeds in shard order off the parent sequence.  One spawn
         # call per shard keeps the iterator lazy; children are identical to
         # a single batched spawn (SeedSequence.spawn is a counter walk).
+        group: list[ShardTask] = []
+        seeds: list[np.random.SeedSequence] = []
         for task in task_iter:
+            if group and (
+                task.n_clients != group[0].n_clients
+                or len(group) >= shards_per_pass(group[0].n_clients, vector_length)
+            ):
+                yield group, seeds, bitgen_cls
+                group, seeds = [], []
             (seed,), bitgen_cls = spawn_seed_sequences(gen, 1)
-            yield task, seed, bitgen_cls
+            group.append(task)
+            seeds.append(seed)
+        if group:
+            yield group, seeds, bitgen_cls
 
     outcomes: list[ShardOutcome] = []
     use_pool = n_workers > 1 and _FORK_AVAILABLE and (
         task_list is None or len(task_list) > 1
     )
-    source = seeded(task_list if task_list is not None else tasks)
+    source = grouped(task_list if task_list is not None else tasks)
     if not use_pool:
-        for task, seed, bitgen_cls in source:
-            outcome = _execute_shard(task, vector_length, seed, bitgen_cls)
-            _record_shard(outcome, tracer, metrics)
-            outcomes.append(outcome)
+        for group, seeds, bitgen_cls in source:
+            for outcome in _execute_group(group, vector_length, seeds, bitgen_cls):
+                _record_shard(outcome, tracer, metrics)
+                outcomes.append(outcome)
     else:
         context = multiprocessing.get_context("fork")
         parent_metrics_enabled = metrics.enabled
@@ -329,22 +380,23 @@ def aggregate_shards(
 
             def drain(done_set) -> None:
                 for future in done_set:
-                    outcome, snapshot = future.result()
-                    _record_shard(outcome, tracer, metrics)
+                    group_outcomes, snapshot = future.result()
+                    for outcome in group_outcomes:
+                        _record_shard(outcome, tracer, metrics)
                     if snapshot is not None and metrics.enabled:
                         metrics.merge_snapshot(snapshot)
-                    outcomes.append(outcome)
+                    outcomes.extend(group_outcomes)
 
-            for task, seed, bitgen_cls in source:
+            for group, seeds, bitgen_cls in source:
                 if len(pending) >= n_workers:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     drain(done)
                 pending.add(
                     pool.submit(
-                        _forked_shard,
-                        task,
+                        _forked_group,
+                        group,
                         vector_length,
-                        seed,
+                        seeds,
                         bitgen_cls,
                         parent_metrics_enabled,
                     )

@@ -34,28 +34,50 @@ __all__ = [
 ]
 
 # Philox-4x64 round multipliers and Weyl key increments (Random123).
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_WEYL_0 = np.uint64(0x9E3779B97F4A7C15)
-_WEYL_1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_WEYL_0 = 0x9E3779B97F4A7C15
+_WEYL_1 = 0xBB67AE8584CAA73B
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ROUNDS = 10
 
+# Hoisted constants: the multipliers' 32-bit halves, and the per-round key
+# bumps.  Key word 1 is always 0, so its whole schedule is one scalar per
+# round; key word 0 is the caller's key plus that round's scalar bump.
+_M0 = (np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M0 & 0xFFFFFFFF), np.uint64(_PHILOX_M0 >> 32))
+_M1 = (np.uint64(_PHILOX_M1), np.uint64(_PHILOX_M1 & 0xFFFFFFFF), np.uint64(_PHILOX_M1 >> 32))
+_KEY1 = [np.uint64(r * _WEYL_1 % (1 << 64)) for r in range(_ROUNDS)]
+_KEY0_STEP = np.uint64(_WEYL_0)
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 64x64 -> 128 bit product of scalar ``a`` with array ``b``.
+
+def _mulhilo(m: tuple, b: np.ndarray, hi: np.ndarray, tmp: tuple) -> None:
+    """Full 64x64 -> 128 bit product of constant ``m`` with array ``b``, in place.
 
     uint64 multiplication wraps, so the high word is assembled from 32-bit
     half products (schoolbook); every partial sum provably fits in uint64.
+    ``m`` is ``(value, low half, high half)``.  The high word lands in
+    ``hi`` and the low word overwrites ``b``; ``tmp`` holds three scratch
+    arrays shaped like ``b``, so a call allocates nothing.
     """
-    lo = a * b
-    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
-    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
-    t1 = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
-    t2 = a_lo * b_hi + (t1 & _MASK32)
-    hi = a_hi * b_hi + (t1 >> _SHIFT32) + (t2 >> _SHIFT32)
-    return hi, lo
+    a, a_lo, a_hi = m
+    b_lo, b_hi, t1 = tmp
+    np.bitwise_and(b, _MASK32, out=b_lo)
+    np.right_shift(b, _SHIFT32, out=b_hi)
+    np.multiply(b_lo, a_lo, out=t1)
+    t1 >>= _SHIFT32
+    b_lo *= a_hi
+    t1 += b_lo  # a_hi * b_lo + (a_lo * b_lo >> 32)
+    t2 = b_lo
+    np.multiply(b_hi, a_lo, out=t2)
+    np.bitwise_and(t1, _MASK32, out=hi)
+    t2 += hi  # a_lo * b_hi + (t1 & mask32)
+    np.multiply(b_hi, a_hi, out=hi)
+    t1 >>= _SHIFT32
+    hi += t1
+    t2 >>= _SHIFT32
+    hi += t2
+    b *= a
 
 
 def philox4x64(
@@ -68,21 +90,29 @@ def philox4x64(
     and yields that block's four output words.  A test pins the kernel
     bit-identical to ``np.random.Philox(key=key0).random_raw`` (numpy
     pre-increments, so its ``i``-th raw block is counter ``i + 1``).
+
+    The rounds run in ten preallocated buffers (``out=`` ufuncs, state
+    words rotated by name), so the ten rounds allocate nothing.
     """
     shape = np.broadcast_shapes(np.shape(key0), np.shape(counter0))
+    c0 = np.empty(shape, dtype=np.uint64)
+    c0[...] = np.asarray(counter0, dtype=np.uint64)
+    k0 = np.empty(shape, dtype=np.uint64)
+    k0[...] = np.asarray(key0, dtype=np.uint64)
+    c1, c2, c3, hi0, hi1, *tmp = (np.zeros(shape, dtype=np.uint64) for _ in range(8))
     with np.errstate(over="ignore"):
-        c0 = np.broadcast_to(np.asarray(counter0, dtype=np.uint64), shape).copy()
-        c1 = np.zeros(shape, dtype=np.uint64)
-        c2 = np.zeros(shape, dtype=np.uint64)
-        c3 = np.zeros(shape, dtype=np.uint64)
-        k0 = np.broadcast_to(np.asarray(key0, dtype=np.uint64), shape)
-        k1 = np.zeros(shape, dtype=np.uint64)
-        for _ in range(_ROUNDS):
-            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _WEYL_0
-            k1 = k1 + _WEYL_1
+        for r in range(_ROUNDS):
+            # c0 and c2 become the low product words in place.
+            _mulhilo(_M0, c0, hi0, tmp)
+            _mulhilo(_M1, c2, hi1, tmp)
+            hi1 ^= c1
+            hi1 ^= k0
+            hi0 ^= c3
+            hi0 ^= _KEY1[r]
+            k0 += _KEY0_STEP
+            # Next state: (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the
+            # consumed c1 and c3 buffers take the next high words.
+            c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
     return c0, c1, c2, c3
 
 
@@ -104,7 +134,9 @@ def expand_masks(seeds, length: int, field: PrimeField) -> np.ndarray:
         seeds[:, None], np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
     )
     words = np.stack(lanes, axis=-1).reshape(seeds.size, blocks * 4)
-    return words[:, :length] % np.uint64(field.modulus)
+    del lanes
+    words %= np.uint64(field.modulus)
+    return words[:, :length]
 
 
 def expand_mask(seed: int, length: int, field: PrimeField) -> list[int]:

@@ -20,15 +20,16 @@ The server learns exactly the sum of the submitted vectors -- bit-pushing's
 per-bit counts -- and nothing about individual contributions (each
 submission is uniformly distributed given the others).
 
-All mask arithmetic is vectorized: seeds expand through
-:func:`~repro.federated.secure_agg.masking.expand_masks` into 2-D uint64
-arrays and combine through the :class:`PrimeField` array kernels, with
-:meth:`SecureAggregationSession.submit_batch` masking a whole shard's
-submissions in one call (each intra-batch pairwise mask is expanded once,
-not once per endpoint).  The batched path is bit-identical to per-client
-:meth:`~SecureAggregationSession.submit` calls -- field sums are exact and
-order-free.  For sharded, multi-worker aggregation over large cohorts see
-:mod:`repro.federated.secure_agg.hierarchy`.
+All mask arithmetic is vectorized and runs on **shard groups**: a
+:class:`ShardGroup` stacks the setup of ``G`` equal-size sessions on a
+leading shard axis, so one Philox pass expands every seed the group
+needs, one exact field matrix product Shamir-splits every self seed, and
+survivor/dropout recovery is batched across the group.  A
+:class:`SecureAggregationSession` is simply a group of one; the sharded
+tree of :mod:`repro.federated.secure_agg.hierarchy` runs the same
+functions on groups of many shards.  Batched submissions are bit-identical
+to per-client :meth:`~SecureAggregationSession.submit` calls -- field sums
+are exact and order-free.
 
 **Scope note:** this is a protocol-faithful simulation for experiments, not
 hardened cryptography: seeds stand in for DH key agreement, and all parties
@@ -39,18 +40,25 @@ dropouts, and hard failure below the threshold.
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SecureAggregationError
 from repro.federated.secure_agg.field import PrimeField
-from repro.federated.secure_agg.masking import expand_masks, pairwise_mask_sign
-from repro.federated.secure_agg.shamir import reconstruct_secrets, split_secrets
+from repro.federated.secure_agg.masking import expand_masks
+from repro.federated.secure_agg.shamir import (
+    _evaluate_shares,
+    _interpolate_at_zero,
+    _lagrange_weights_at_zero,
+)
 from repro.observability import get_metrics, get_tracer
 from repro.rng import ensure_rng
 
-__all__ = ["SecureAggregationSession", "default_threshold", "secure_sum"]
+__all__ = ["SecureAggregationSession", "ShardGroup", "default_threshold", "secure_sum"]
 
 
 def default_threshold(n_clients: int) -> int:
@@ -66,8 +74,223 @@ def default_threshold(n_clients: int) -> int:
     return max(2, -(-2 * n_clients // 3))
 
 
+@lru_cache(maxsize=16)
+def _pair_layout(n_clients: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pair bookkeeping for ``n_clients``-client sessions, cached per size.
+
+    Pairs are numbered in ``np.triu_indices`` order -- the order their
+    seeds are drawn in.  Returns read-only arrays: the pairs' lower and
+    upper endpoints, plus two ``(n, n - 1)`` tables whose row ``i`` lists
+    the pairs client ``i`` belongs to and whether it *subtracts* each
+    pair's mask (the peer has the smaller id -- the cancellation
+    convention of :func:`~repro.federated.secure_agg.masking.pairwise_mask_sign`).
+    """
+    n = n_clients
+    lower, upper = np.triu_indices(n, k=1)
+    me = np.arange(n)[:, None]
+    peer = np.arange(n - 1)[None, :]
+    peer = peer + (peer >= me)
+    low, high = np.minimum(me, peer), np.maximum(me, peer)
+    pairs = low * n - low * (low + 1) // 2 + high - low - 1
+    layout = (lower, upper, pairs, peer < me)
+    for table in layout:
+        table.flags.writeable = False  # shared by every caller of the cache
+    return layout
+
+
+def _sum_by_shard(
+    field: PrimeField, rows: np.ndarray, shard: np.ndarray, n_shards: int
+) -> np.ndarray:
+    """Exact per-shard mod-``p`` sums of ``(R, L)`` rows tagged with a shard index.
+
+    Scatters the rows into a zero-padded ``(n_shards, max rows, L)`` block
+    and folds it with one :meth:`PrimeField.sum_rows` call.
+    """
+    order = np.argsort(shard, kind="stable")
+    counts = np.bincount(shard, minlength=n_shards)
+    slot = np.arange(shard.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    dense = np.zeros((n_shards, int(counts.max(initial=0)), rows.shape[-1]), dtype=np.uint64)
+    dense[shard[order], slot] = rows[order]
+    return field.sum_rows(dense)
+
+
+@dataclass(frozen=True)
+class ShardGroup:
+    """The setup of ``G`` equal-size masking sessions, on a leading shard axis.
+
+    ``pair_seeds[g]`` holds shard ``g``'s pairwise seeds in pair order (see
+    :func:`_pair_layout`), ``self_seeds[g]`` its clients' self-mask seeds,
+    and ``shares[g, i, h]`` the Shamir share of client ``i``'s self seed
+    that client ``h`` holds (evaluation point ``x = h + 1``).  All seeds are
+    field elements: self seeds travel through Shamir shares, so anything
+    ``>=`` the modulus would reconstruct to a different value than was
+    expanded.
+    """
+
+    n_clients: int
+    threshold: int
+    field: PrimeField
+    pair_seeds: np.ndarray
+    self_seeds: np.ndarray
+    shares: np.ndarray
+
+    @classmethod
+    def setup(
+        cls,
+        gens: Sequence[np.random.Generator],
+        n_clients: int,
+        threshold: int,
+        field: PrimeField,
+    ) -> ShardGroup:
+        """Draw every shard's seeds from its own generator, then share them.
+
+        Each generator makes the same three draws a lone session always
+        made -- pair seeds, self seeds, then the ``(n, threshold - 1)``
+        share-polynomial coefficients, as :func:`~.shamir.split_secrets`
+        draws them -- so a shard's masks do not depend on its group.  The
+        split itself is one exact ``(G n, t) @ (t, n)`` field product
+        against the cached Vandermonde matrix.
+        """
+        n, t, modulus = n_clients, threshold, field.modulus
+        n_pairs = n * (n - 1) // 2
+        pair_seeds = np.empty((len(gens), n_pairs), dtype=np.uint64)
+        coefficients = np.zeros((len(gens), n, t), dtype=np.uint64)
+        for g, gen in enumerate(gens):
+            pair_seeds[g] = gen.integers(0, modulus, size=n_pairs)
+            coefficients[g, :, 0] = gen.integers(0, modulus, size=n)
+            if t > 1:
+                coefficients[g, :, 1:] = gen.integers(0, modulus, size=(n, t - 1))
+        shares = _evaluate_shares(coefficients.reshape(-1, t), n, field)
+        return cls(
+            n_clients=n,
+            threshold=t,
+            field=field,
+            pair_seeds=pair_seeds,
+            self_seeds=coefficients[:, :, 0].copy(),
+            shares=shares.reshape(len(gens), n, n),
+        )
+
+    def mask(self, shard: np.ndarray, client: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Mask reduced ``(k, L)`` rows submitted by ``(shard, client)`` pairs.
+
+        Row ``r`` becomes ``x + b + sum_{j>i} m_ij - sum_{j<i} m_ji`` for
+        client ``i = client[r]`` of shard ``shard[r]``.  Every pairwise seed
+        the submitters touch and every submitter's self seed expand in one
+        Philox pass (a mask shared by two submitters is expanded once), and
+        the signed pair masks fold through the cached per-size layout.
+        """
+        field = self.field
+        n_pairs = self.pair_seeds.shape[1]
+        _, _, peers, subtracts = _pair_layout(self.n_clients)
+        needed = shard[:, None] * n_pairs + peers[client]
+        pair_ids, inverse = np.unique(needed, return_inverse=True)
+        seeds = np.concatenate(
+            [self.self_seeds[shard, client], self.pair_seeds.reshape(-1)[pair_ids]]
+        )
+        masks = expand_masks(seeds, rows.shape[-1], field)
+        rows = field.add_arrays(rows, masks[: len(rows)])
+        # Each row's n - 1 pair masks, negated in place where it subtracts
+        # (p - m is m's negation; the fold accepts p itself as a zero).
+        signed = masks[len(rows) :][inverse.reshape(needed.shape)]
+        del masks
+        np.subtract(
+            np.uint64(field.modulus), signed, out=signed, where=subtracts[client][..., None]
+        )
+        return field.add_arrays(rows, field.sum_rows(signed))
+
+    def unmask(self, submitted: np.ndarray, masked: np.ndarray, shard: np.ndarray) -> np.ndarray:
+        """Exact ``(G, L)`` per-shard totals of the submitted masked rows.
+
+        ``submitted`` is a ``(G, n)`` boolean map of who submitted, and
+        ``masked`` holds their masked rows, each tagged with its shard in
+        ``shard``.  Shards below the threshold cannot be unmasked and come
+        back as zero rows; the caller decides what a failed shard means.
+        For every other shard the first ``threshold`` survivors' shares
+        reconstruct each survivor's self seed (Lagrange weights per
+        survivor set, checked against the threshold), and each survivor
+        reveals the seed it shares with each dropout.  All of those seeds
+        expand in one Philox pass and are subtracted -- masks a survivor
+        *added* at submission are subtracted here, and vice versa.
+        """
+        field, t = self.field, self.threshold
+        recoverable = submitted.sum(axis=1) >= t
+        live = submitted & recoverable[:, None]
+        holders = np.argsort(~live, axis=1, kind="stable")[:, :t]
+        weights = np.zeros((len(live), t), dtype=np.uint64)
+        for g in np.flatnonzero(recoverable):
+            weights[g] = _lagrange_weights_at_zero(
+                tuple((holders[g] + 1).tolist()), field.modulus, expected_threshold=t
+            )
+        seed_shard, seed_client = np.nonzero(live)
+        held = np.take_along_axis(self.shares, holders[:, None, :], axis=2)
+        self_seeds = _interpolate_at_zero(
+            field, held[seed_shard, seed_client], weights[seed_shard]
+        )
+        lower, upper, _, _ = _pair_layout(self.n_clients)
+        lower_lives = submitted[:, lower]
+        revealed = recoverable[:, None] & (lower_lives != submitted[:, upper])
+        pair_shard, pair = np.nonzero(revealed)
+        masks = expand_masks(
+            np.concatenate([self_seeds, self.pair_seeds[pair_shard, pair]]),
+            masked.shape[-1],
+            field,
+        )
+        # Negate what was added at submission: every self mask, and each
+        # revealed pair mask whose survivor is the pair's lower id.
+        negate = np.concatenate(
+            [np.ones(self_seeds.size, dtype=bool), lower_lives[pair_shard, pair]]
+        )
+        masks[negate] = field.sub_arrays(np.uint64(0), masks[negate])
+        kept = recoverable[shard]
+        return _sum_by_shard(
+            field,
+            np.concatenate([masked[kept], masks]),
+            np.concatenate([shard[kept], seed_shard, pair_shard]),
+            len(live),
+        )
+
+
+@contextmanager
+def finalize_span(
+    n_clients: int, submitted: int, threshold: int, count_failure: bool = True
+) -> Iterator[None]:
+    """One session's ``secure_agg.finalize`` span and ``secure_agg_*`` counters.
+
+    Raises :class:`SecureAggregationError` inside the span (marking it an
+    error) when fewer than ``threshold`` clients submitted; otherwise the
+    body runs and the session counters advance on success.
+    """
+    metrics = get_metrics()
+    dropouts = n_clients - submitted
+    with get_tracer().span(
+        "secure_agg.finalize",
+        {
+            "n_clients": n_clients,
+            "submitted": submitted,
+            "dropouts": dropouts,
+            "threshold": threshold,
+        },
+    ):
+        if submitted < threshold:
+            if metrics.enabled and count_failure:
+                metrics.counter("secure_agg_failures_total").inc()
+            raise SecureAggregationError(
+                f"only {submitted} of {n_clients} clients submitted; "
+                f"threshold is {threshold}"
+            )
+        yield
+        if metrics.enabled:
+            metrics.counter("secure_agg_sessions_total").inc()
+            metrics.counter("secure_agg_dropouts_total").inc(dropouts)
+            metrics.counter("secure_agg_self_masks_removed_total").inc(submitted)
+            metrics.counter("secure_agg_masks_recovered_total").inc(submitted * dropouts)
+
+
 class SecureAggregationSession:
     """One secure-aggregation round over a fixed set of clients.
+
+    A :class:`ShardGroup` of one: setup, masking and recovery are the
+    group kernels the sharded tree runs on many shards at once.
 
     Parameters
     ----------
@@ -108,49 +331,15 @@ class SecureAggregationSession:
             raise ConfigurationError(
                 f"need 2 <= threshold <= n_clients, got threshold={threshold}, n={n_clients}"
             )
-        gen = ensure_rng(rng)
         self.n_clients = n_clients
         self.vector_length = vector_length
         self.threshold = threshold
         self.field = field or PrimeField()
-
-        # -- Setup phase (simulated trusted key agreement). --------------
-        # All seeds are field elements: self-mask seeds travel through
-        # Shamir shares (field arithmetic), so anything >= the modulus
-        # would reconstruct to a different value than was expanded.
-        # Pairwise seeds: one per unordered pair, known to both endpoints.
-        # Drawn as one batched field vector in (i, j)-lexicographic order --
-        # np.triu_indices walks pairs exactly as the nested per-pair loop
-        # would, so the draw is stream-identical but O(n^2) numpy instead of
-        # O(n^2) Python-level generator calls.
-        pair_i, pair_j = np.triu_indices(n_clients, k=1)
-        pair_seeds = self.field.random_vector(pair_i.size, gen)
-        self._pairwise_seeds: dict[tuple[int, int], int] = {
-            (int(i), int(j)): seed for i, j, seed in zip(pair_i, pair_j, pair_seeds)
-        }
-        # Self-mask seeds, Shamir-shared among all clients: row i of the
-        # share matrix holds seed i's share values, column h the share
-        # client h keeps (evaluation point x = h + 1).
-        self._self_seeds: list[int] = self.field.random_vector(n_clients, gen)
-        self._self_seed_shares: np.ndarray = split_secrets(
-            self._self_seeds, n_clients, threshold, self.field, gen
-        )
-
+        # Setup phase (simulated trusted key agreement).
+        self._group = ShardGroup.setup([ensure_rng(rng)], n_clients, threshold, self.field)
         self._submissions: dict[int, np.ndarray] = {}
         self._finalized = False
         self._failed = False
-
-    # ------------------------------------------------------------------
-    def _seed_for(self, a: int, b: int) -> int:
-        return self._pairwise_seeds[(a, b) if a < b else (b, a)]
-
-    def client_pairwise_seeds(self, client_id: int) -> dict[int, int]:
-        """The pairwise seeds client ``client_id`` holds (one per peer)."""
-        return {
-            other: self._seed_for(client_id, other)
-            for other in range(self.n_clients)
-            if other != client_id
-        }
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
@@ -158,57 +347,9 @@ class SecureAggregationSession:
             raise SecureAggregationError("session already finalized")
 
     def _mask_rows(self, client_ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
-        """Mask one reduced ``(k, length)`` uint64 row per submitting client.
-
-        Each intra-batch pairwise mask is expanded exactly once and applied
-        with opposite signs to both endpoints' rows; masks shared with
-        clients outside the batch are expanded once for the batch endpoint.
-        """
-        field = self.field
-        length = self.vector_length
-        # Self-masks: one expansion per submitting client.
-        self_masks = expand_masks(
-            [self._self_seeds[c] for c in client_ids], length, field
-        )
-        rows = field.add_arrays(rows, self_masks)
-        # Pairwise masks: expand the union of needed pair seeds once, then
-        # fold each client's signed subset (+ toward larger ids, - toward
-        # smaller -- the cancellation convention of pairwise_mask_sign).
-        pair_keys: list[tuple[int, int]] = []
-        key_index: dict[tuple[int, int], int] = {}
-        plus_rows: list[list[int]] = []
-        minus_rows: list[list[int]] = []
-        for cid in client_ids:
-            plus: list[int] = []
-            minus: list[int] = []
-            for other in range(self.n_clients):
-                if other == cid:
-                    continue
-                key = (cid, other) if cid < other else (other, cid)
-                idx = key_index.get(key)
-                if idx is None:
-                    idx = key_index[key] = len(pair_keys)
-                    pair_keys.append(key)
-                (plus if cid < other else minus).append(idx)
-            plus_rows.append(plus)
-            minus_rows.append(minus)
-        masks = expand_masks([self._pairwise_seeds[k] for k in pair_keys], length, field)
-        # Signed application in two gathered column-sums: pad each client's
-        # ragged pair-index list up to the max degree with a sentinel
-        # pointing at an appended all-zero mask row.
-        masks = np.vstack([masks, np.zeros((1, length), dtype=np.uint64)])
-        sentinel = len(pair_keys)
-
-        def padded(index_lists: list[list[int]]) -> np.ndarray:
-            width = max((len(lst) for lst in index_lists), default=0)
-            out = np.full((len(index_lists), width), sentinel, dtype=np.intp)
-            for r, lst in enumerate(index_lists):
-                out[r, : len(lst)] = lst
-            return out
-
-        rows = field.add_arrays(rows, field.sum_indexed(masks, padded(plus_rows)))
-        rows = field.sub_arrays(rows, field.sum_indexed(masks, padded(minus_rows)))
-        return rows
+        """Mask one reduced ``(k, length)`` uint64 row per submitting client."""
+        ids = np.asarray(client_ids, dtype=np.intp)
+        return self._group.mask(np.zeros_like(ids), ids, rows)
 
     def _validate_ids(self, client_ids: Sequence[int]) -> None:
         seen = set()
@@ -275,82 +416,22 @@ class SecureAggregationSession:
         if self._finalized:
             raise SecureAggregationError("session already finalized")
         survivors = sorted(self._submissions)
-        dropped = [c for c in range(self.n_clients) if c not in self._submissions]
-        metrics = get_metrics()
-        field = self.field
-        with get_tracer().span(
-            "secure_agg.finalize",
-            {
-                "n_clients": self.n_clients,
-                "submitted": len(survivors),
-                "dropouts": len(dropped),
-                "threshold": self.threshold,
-            },
-        ):
-            if len(survivors) < self.threshold:
-                first_failure = not self._failed
-                self._failed = True
-                if metrics.enabled and first_failure:
-                    metrics.counter("secure_agg_failures_total").inc()
-                raise SecureAggregationError(
-                    f"only {len(survivors)} of {self.n_clients} clients submitted; "
-                    f"threshold is {self.threshold}"
-                )
-
-            total = field.sum_rows(
-                np.stack([self._submissions[cid] for cid in survivors])
-            )
-
-            # Remove survivors' self-masks: reconstruct every survivor's
-            # seed in one batched interpolation over the shares held by the
-            # first `threshold` surviving shareholders (the session layer's
-            # known threshold guards against silent under-threshold
-            # interpolation), then expand and subtract the whole batch.
-            holders = survivors[: self.threshold]
-            seeds = reconstruct_secrets(
-                [holder + 1 for holder in holders],
-                self._self_seed_shares[np.ix_(survivors, holders)],
-                field,
-                expected_threshold=self.threshold,
-            )
-            total = field.sub_arrays(
-                total, field.sum_rows(expand_masks(seeds, self.vector_length, field))
-            )
-
-            # Cancel lingering pairwise masks between survivors and dropouts:
-            # each survivor reveals the seed it shared with each dropout.
-            # Batched by sign: masks the survivor *added* at submission are
-            # subtracted here, and vice versa.
-            if dropped:
-                sub_seeds = []
-                add_seeds = []
-                for survivor in survivors:
-                    for dead in dropped:
-                        seed = self._seed_for(survivor, dead)
-                        if pairwise_mask_sign(survivor, dead) > 0:
-                            sub_seeds.append(seed)
-                        else:
-                            add_seeds.append(seed)
-                if sub_seeds:
-                    total = field.sub_arrays(
-                        total,
-                        field.sum_rows(expand_masks(sub_seeds, self.vector_length, field)),
-                    )
-                if add_seeds:
-                    total = field.add_arrays(
-                        total,
-                        field.sum_rows(expand_masks(add_seeds, self.vector_length, field)),
-                    )
-
-            self._finalized = True
-            if metrics.enabled:
-                metrics.counter("secure_agg_sessions_total").inc()
-                metrics.counter("secure_agg_dropouts_total").inc(len(dropped))
-                metrics.counter("secure_agg_self_masks_removed_total").inc(len(survivors))
-                metrics.counter("secure_agg_masks_recovered_total").inc(
-                    len(survivors) * len(dropped)
-                )
-            return [int(v) for v in field.centered_array(total)]
+        try:
+            with finalize_span(
+                self.n_clients, len(survivors), self.threshold, count_failure=not self._failed
+            ):
+                submitted = np.zeros((1, self.n_clients), dtype=bool)
+                submitted[0, survivors] = True
+                total = self._group.unmask(
+                    submitted,
+                    np.stack([self._submissions[cid] for cid in survivors]),
+                    np.zeros(len(survivors), dtype=np.intp),
+                )[0]
+                self._finalized = True
+        except SecureAggregationError:
+            self._failed = True
+            raise
+        return [int(v) for v in self.field.centered_array(total)]
 
     # ------------------------------------------------------------------
     @property

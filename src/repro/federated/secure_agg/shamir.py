@@ -78,14 +78,20 @@ def split_secret(
 
 @lru_cache(maxsize=64)
 def _power_matrix(n_shares: int, threshold: int, modulus: int) -> np.ndarray:
-    """``x**d mod p`` for ``x = 1..n_shares``, ``d = 0..threshold-1``."""
-    return np.array(
+    """The ``(threshold, n_shares)`` Vandermonde matrix ``x**d mod p``.
+
+    Rows are degrees ``d = 0..threshold-1``, columns points ``x = 1..n_shares``.
+    Cached and read-only: every split of the same shape shares it.
+    """
+    powers = np.array(
         [
             [pow(x, d, modulus) for x in range(1, n_shares + 1)]
             for d in range(threshold)
         ],
         dtype=np.uint64,
     )
+    powers.flags.writeable = False
+    return powers
 
 
 def split_secrets(
@@ -102,8 +108,9 @@ def split_secrets(
     points ``x = 1 .. n_shares``.  Value- and stream-identical to calling
     :func:`split_secret` once per secret on the same generator (the
     coefficient block is drawn row-major, exactly the order the scalar
-    loop consumes), but the polynomial evaluations are ``threshold``
-    field-array ops instead of ``len(secrets) * n_shares`` Horner loops.
+    loop consumes), but every evaluation is one exact field matrix product
+    of the ``(len(secrets), threshold)`` coefficients with the cached
+    Vandermonde matrix (:meth:`PrimeField.matmul`).
     """
     if not 1 <= threshold <= n_shares:
         raise ConfigurationError(
@@ -113,40 +120,58 @@ def split_secrets(
         raise ConfigurationError("more shares requested than distinct field points")
     gen = ensure_rng(rng)
     secrets = field.reduce_array(np.asarray(secrets)).reshape(-1)
-    k = secrets.size
+    coefficients = np.empty((secrets.size, threshold), dtype=np.uint64)
+    coefficients[:, 0] = secrets
     if threshold > 1:
-        coefficients = np.asarray(
-            gen.integers(0, field.modulus, size=(k, threshold - 1)), dtype=np.uint64
-        )
-    else:
-        coefficients = np.zeros((k, 0), dtype=np.uint64)
-    powers = _power_matrix(n_shares, threshold, field.modulus)
-    # One fused multiply (k, threshold, n_shares), then a block-folded
-    # mod-p reduction over the coefficient axis (same overflow discipline
-    # as PrimeField.sum_rows: partial sums never wrap uint64).
-    coeffs = np.concatenate([secrets[:, None], coefficients], axis=1)
-    terms = field.mul_arrays(coeffs[:, :, None], powers[None, :, :])
-    p = np.uint64(field.modulus)
-    block = max(1, ((1 << 64) - 1) // (field.modulus - 1) - 1)
-    shares = np.zeros((k, n_shares), dtype=np.uint64)
-    for start in range(0, threshold, block):
-        shares = (shares + terms[:, start : start + block].sum(axis=1)) % p
-    return shares
+        coefficients[:, 1:] = gen.integers(0, field.modulus, size=(secrets.size, threshold - 1))
+    return _evaluate_shares(coefficients, n_shares, field)
+
+
+def _evaluate_shares(coefficients: np.ndarray, n_shares: int, field: PrimeField) -> np.ndarray:
+    """Share values of ``(k, threshold)`` polynomial coefficients at ``x = 1..n_shares``."""
+    powers = _power_matrix(n_shares, coefficients.shape[1], field.modulus)
+    return field.matmul(coefficients, powers)
 
 
 @lru_cache(maxsize=512)
-def _lagrange_weights_at_zero(xs: tuple[int, ...], modulus: int) -> tuple[int, ...]:
-    field = PrimeField(modulus)
+def _lagrange_weights(xs: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    """Lagrange basis polynomials at zero, in exact ints mod ``modulus``."""
     weights = []
     for i, x_i in enumerate(xs):
         numerator, denominator = 1, 1
         for j, x_j in enumerate(xs):
-            if i == j:
-                continue
-            numerator = field.mul(numerator, field.neg(x_j))
-            denominator = field.mul(denominator, field.sub(x_i, x_j))
-        weights.append(field.mul(numerator, field.inv(denominator)))
+            if i != j:
+                numerator = numerator * -x_j % modulus
+                denominator = denominator * (x_i - x_j) % modulus
+        weights.append(numerator * pow(denominator, modulus - 2, modulus) % modulus)
     return tuple(weights)
+
+
+def _lagrange_weights_at_zero(
+    xs: tuple[int, ...], modulus: int, expected_threshold: int | None = None
+) -> np.ndarray:
+    """Checked interpolation weights at zero for the share points ``xs``.
+
+    Raises :class:`SecureAggregationError` on empty or duplicate points, or
+    on fewer than ``expected_threshold`` of them (see
+    :func:`reconstruct_secret` for why that check matters).  Weights are
+    cached per point set, so repeated survivor sets cost a lookup.
+    """
+    if not xs:
+        raise SecureAggregationError("cannot reconstruct from zero shares")
+    if expected_threshold is not None and len(xs) < expected_threshold:
+        raise SecureAggregationError(
+            f"reconstruction needs >= {expected_threshold} shares, got {len(xs)}; "
+            "interpolating fewer would silently yield garbage"
+        )
+    if len(set(xs)) != len(xs):
+        raise SecureAggregationError(f"duplicate share points: {sorted(xs)}")
+    return np.array(_lagrange_weights(xs, modulus), dtype=np.uint64)
+
+
+def _interpolate_at_zero(field: PrimeField, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum_j ys[:, j] * weights[..., j] mod p`` (weights broadcast)."""
+    return field.sum_rows(field.mul_arrays(ys, weights).T)
 
 
 def reconstruct_secrets(
@@ -166,30 +191,13 @@ def reconstruct_secrets(
     under-``expected_threshold`` share set.
     """
     xs = tuple(int(x) for x in xs)
-    if not xs:
-        raise SecureAggregationError("cannot reconstruct from zero shares")
-    if expected_threshold is not None and len(xs) < expected_threshold:
-        raise SecureAggregationError(
-            f"reconstruction needs >= {expected_threshold} shares, got {len(xs)}; "
-            "interpolating fewer would silently yield garbage"
-        )
-    if len(set(xs)) != len(xs):
-        raise SecureAggregationError(f"duplicate share points: {sorted(xs)}")
+    weights = _lagrange_weights_at_zero(xs, field.modulus, expected_threshold)
     ys = np.atleast_2d(np.asarray(ys, dtype=np.uint64))
     if ys.shape[-1] != len(xs):
         raise ConfigurationError(
             f"share matrix has {ys.shape[-1]} columns for {len(xs)} points"
         )
-    weights = np.array(
-        _lagrange_weights_at_zero(xs, field.modulus), dtype=np.uint64
-    )
-    terms = field.mul_arrays(ys, weights[None, :])
-    p = np.uint64(field.modulus)
-    block = max(1, ((1 << 64) - 1) // (field.modulus - 1) - 1)
-    secrets = np.zeros(ys.shape[0], dtype=np.uint64)
-    for start in range(0, len(xs), block):
-        secrets = (secrets + terms[:, start : start + block].sum(axis=1)) % p
-    return secrets
+    return _interpolate_at_zero(field, ys, weights[None, :])
 
 
 def reconstruct_secret(

@@ -457,9 +457,10 @@ class FederatedMeanQuery:
     positions into that one batch.  It elicits, encodes, perturbs, and
     aggregates in bounded-memory chunks, never materializing per-client
     objects.  Secure aggregation runs through the hierarchical shard tree
-    (:mod:`repro.federated.secure_agg.hierarchy`): vectorized masking
-    kernels per shard, submission matrices built one shard at a time, at
-    most ``REPRO_WORKERS`` shards in flight.
+    (:mod:`repro.federated.secure_agg.hierarchy`): equal-size shards run
+    as batched kernel passes over groups of shards, submission matrices
+    are built one shard at a time, and at most ``REPRO_WORKERS`` groups
+    are in flight.
     """
 
     def __init__(
@@ -875,7 +876,7 @@ class FederatedMeanQuery:
         ``2 * n_bits`` vector: a one-hot report-count half and a bit-value
         half.  Shard submission matrices are built lazily one shard at a
         time (and :func:`aggregate_shards` keeps at most ``REPRO_WORKERS``
-        shards in flight), so secure mode no longer materializes
+        shard groups in flight), so secure mode no longer materializes
         cohort-sized 2-D arrays; a remainder of one client folds into the
         previous shard instead of leaking its counter in plaintext.
         ``shard_blackout`` empties the named shards' submissions (scripted

@@ -153,6 +153,26 @@ class TestScaleRegressions:
         entry = bench_summary.summarize_scale(payload, label="pr")
         assert entry["serve"]["telemetry"] is True
 
+    def test_secure_scale_study_is_a_gated_rate(self):
+        payload = {
+            "secure_agg": {
+                "n": 10_000,
+                "shard_size": 32,
+                "clients_per_s": 20_000.0,
+                "speedup_vs_loop": 9.0,
+                "scale": {"n": 100_000, "seconds": 5.0, "clients_per_s": 20_000.0},
+            }
+        }
+        base = bench_summary.summarize_scale(payload, label="base")
+        assert base["secure_agg"]["scale"] == {"n": 100_000, "clients_per_s": 20_000.0}
+        slower = copy.deepcopy(base)
+        slower["label"] = "pr"
+        slower["secure_agg"]["scale"]["clients_per_s"] = 5_000.0
+        ok, messages = bench_summary.check_scale_regressions([base, slower])
+        assert not ok
+        (failure,) = [m for m in messages if m.startswith("REGRESSION")]
+        assert "secure_agg@100000" in failure
+
 
 class TestCheckCli:
     def test_check_passes_on_unchanged_trajectory(self, tmp_path, capsys):

@@ -26,6 +26,15 @@ from repro.federated.secure_agg import (
 from repro.observability import MetricsRegistry, configure, disable
 
 
+class _MaxDraws(np.random.Generator):
+    """A generator whose every bounded draw is ``high - 1``: worst-case field values."""
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if size is None:
+            return int(high) - 1
+        return np.full(size, int(high) - 1, dtype=np.int64)
+
+
 class TestPrimeField:
     def test_default_prime_is_mersenne_61(self):
         assert DEFAULT_PRIME == 2**61 - 1
@@ -393,14 +402,16 @@ class TestMulArrays:
         assert out.tolist() == [[1, 2, 3], [2, 4, 6], [3, 6, 9]]
 
 
-class TestSumIndexed:
+class TestGroupedSums:
+    """Field sums with a leading group axis (the shard-group kernels' reductions)."""
+
     def test_matches_per_row_sums(self, rng):
         field = PrimeField()
         rows = field.reduce_array(
             rng.integers(field.modulus - 5, field.modulus, size=(7, 4))
         )
         indices = np.asarray([[0, 1, 2], [4, 5, 6]], dtype=np.intp)
-        out = field.sum_indexed(rows, indices)
+        out = field.sum_rows(rows[indices])
         for got, picks in zip(out, indices):
             expected = [
                 int(sum(int(rows[i, j]) for i in picks) % field.modulus)
@@ -408,19 +419,16 @@ class TestSumIndexed:
             ]
             assert got.tolist() == expected
 
-    def test_sentinel_zero_row_padding(self):
-        # Ragged index lists are padded with the index of an all-zero
-        # sentinel row; repeated sentinel picks must not change the sum.
+    def test_sum_by_shard_zero_padding(self):
+        # Ragged, unsorted shard tags scatter into a zero-padded block; the
+        # padding and an empty shard must not change any sum.
+        from repro.federated.secure_agg.protocol import _sum_by_shard
+
         field = PrimeField()
-        rows = np.vstack(
-            [
-                field.reduce_array(np.asarray([[5, 6], [7, 8]])),
-                np.zeros((1, 2), dtype=np.uint64),
-            ]
-        )
-        indices = np.asarray([[0, 2, 2, 2], [0, 1, 2, 2]], dtype=np.intp)
-        out = field.sum_indexed(rows, indices)
-        assert out.tolist() == [[5, 6], [12, 14]]
+        rows = field.reduce_array(np.asarray([[5, 6], [7, 8], [-1, 1], [2, 2]]))
+        shard = np.asarray([2, 0, 2, 2])
+        out = _sum_by_shard(field, rows, shard, 3)
+        assert out.tolist() == [[7, 8], [0, 0], [6, 9]]
 
 
 class TestBatchedShamir:
@@ -435,6 +443,37 @@ class TestBatchedShamir:
             shares = split_secret(secret, n_shares=7, threshold=5, field=field, rng=gen)
             assert [int(y) for y in row] == [s.y for s in shares]
             assert [s.x for s in shares] == list(range(1, 8))
+
+    @pytest.mark.parametrize("max_draws", [True, False])
+    def test_split_secrets_exact_past_one_float_chunk(self, max_draws):
+        """The float-limb field product stays exact at its extremes: every
+        coefficient at p - 1, and a threshold longer than one chunk of the
+        float accumulation."""
+        from repro.federated.secure_agg.field import _MATMUL_CHUNK
+
+        field = PrimeField()
+        threshold = _MATMUL_CHUNK + 18
+
+        def gen():
+            if max_draws:
+                return _MaxDraws(np.random.PCG64(0))
+            return np.random.default_rng(4)
+
+        secret = field.modulus - 1
+        batched = split_secrets([secret], threshold, threshold, field, gen())
+        scalar = split_secret(secret, threshold, threshold, field, gen())
+        assert batched[0].tolist() == [s.y for s in scalar]
+
+    def test_matmul_matches_python_ints_at_modulus_edge(self, rng):
+        field = PrimeField()
+        a = rng.integers(0, field.modulus, size=(4, 9), dtype=np.uint64)
+        b = rng.integers(0, field.modulus, size=(9, 5), dtype=np.uint64)
+        a[0] = b[:, 0] = field.modulus - 1
+        expected = [
+            [sum(int(x) * int(y) for x, y in zip(row, col)) % field.modulus for col in b.T]
+            for row in a
+        ]
+        assert field.matmul(a, b).tolist() == expected
 
     def test_reconstruct_secrets_matches_scalar(self, rng):
         field = PrimeField()

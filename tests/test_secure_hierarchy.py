@@ -6,18 +6,25 @@ per-shard dropout patterns -- and a shard falling below its threshold
 degrades the round instead of aborting it.
 """
 
+import tracemalloc
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from repro.core import FixedPointEncoder
-from repro.exceptions import ConfigurationError, RoundFailedError
+from repro.exceptions import ConfigurationError, RoundFailedError, SecureAggregationError
 from repro.federated import ClientDevice, DropoutModel, FederatedMeanQuery
 from repro.federated.faults import FaultEvent, FaultSchedule
 from repro.federated.secure_agg import (
+    SecureAggregationSession,
+    default_threshold,
     hierarchical_secure_sum,
     secure_sum,
     shard_bounds,
 )
+from repro.federated.secure_agg.protocol import ShardGroup
+from repro.metrics.execution import spawn_seed_sequences
 from repro.observability import (
     HealthMonitor,
     MetricsRegistry,
@@ -150,6 +157,110 @@ class TestHierarchicalTwin:
             assert counters["secure_clients_excluded_total"] == 6
         finally:
             disable()
+
+
+class _ReferenceShard(NamedTuple):
+    lo: int
+    hi: int
+    child: np.random.SeedSequence
+    ids: np.ndarray
+    session: SecureAggregationSession
+    masked: np.ndarray
+
+
+class TestShardGroupKernels:
+    """Group passes against one fresh session per shard, seeded alike.
+
+    Shard ``i`` of a tree seeded with ``rng`` draws its setup from the
+    ``i``-th spawned child, so a lone :class:`SecureAggregationSession`
+    built from that child is the reference for every shard, whatever
+    group the shard ran in.
+    """
+
+    LENGTH = 3
+
+    def cohort(self, n, shard_size, seed):
+        draw = np.random.default_rng(seed)
+        vecs = draw.integers(-50, 1000, size=(n, self.LENGTH))
+        submitted = draw.random(n) > 0.2
+        submitted[shard_size : 2 * shard_size] = False  # shard 1 blacks out
+        return vecs, submitted
+
+    def sessions(self, n, shard_size, seed, vecs, submitted):
+        bounds = shard_bounds(n, shard_size)
+        children, bitgen_cls = spawn_seed_sequences(np.random.default_rng(seed), len(bounds))
+        for (lo, hi), child in zip(bounds, children):
+            session = SecureAggregationSession(
+                hi - lo,
+                self.LENGTH,
+                default_threshold(hi - lo),
+                rng=np.random.Generator(bitgen_cls(child)),
+            )
+            ids = np.flatnonzero(submitted[lo:hi])
+            masked = session.submit_batch(ids, vecs[lo:hi][ids])
+            yield _ReferenceShard(lo, hi, child, ids, session, masked)
+
+    @pytest.mark.parametrize("shard_size", [2, 3, 5, 8, 32])
+    def test_outcomes_and_masked_rows_match_fresh_sessions(self, shard_size, monkeypatch):
+        """Every residue of the cohort size (a folded ``n % k == 1`` tail, a
+        short last shard), random dropout plus a blacked-out shard, so one
+        group pass holds recovered and failed shards."""
+        masked_rows = []
+        mask = ShardGroup.mask
+
+        def recording_mask(group, shard, client, rows):
+            masked_rows.append(mask(group, shard, client, rows))
+            return masked_rows[-1]
+
+        monkeypatch.setattr(ShardGroup, "mask", recording_mask)
+        for n in range(4 * shard_size, 5 * shard_size):
+            seed = 1000 * shard_size + n
+            vecs, submitted = self.cohort(n, shard_size, seed)
+            masked_rows.clear()
+            result = hierarchical_secure_sum(
+                vecs, submitted, shard_size, workers=1, rng=np.random.default_rng(seed)
+            )
+            tree_rows = np.concatenate(masked_rows)
+            refs = list(self.sessions(n, shard_size, seed, vecs, submitted))
+            assert len(result.shards) == len(refs)
+            for outcome, ref in zip(result.shards, refs):
+                try:
+                    total = np.array(ref.session.finalize(), dtype=np.int64)
+                except SecureAggregationError:
+                    total = None
+                assert outcome.threshold == ref.session.threshold
+                assert outcome.recovered == (total is not None)
+                np.testing.assert_array_equal(outcome.submitted_global_ids, ref.lo + ref.ids)
+                if total is None:
+                    assert outcome.total is None
+                else:
+                    np.testing.assert_array_equal(outcome.total, total)
+            assert not result.shards[1].recovered
+            assert any(s.recovered for s in result.shards)
+            # Group passes mask shard-major in submitted-id order, like the
+            # sessions' submit_batch calls.
+            np.testing.assert_array_equal(tree_rows, np.concatenate([ref.masked for ref in refs]))
+
+
+class TestBoundedWorkingSet:
+    def test_peak_traced_bytes_do_not_grow_with_the_cohort(self):
+        """Group passes are sized by a fixed Philox budget, not by the
+        cohort: the tree's peak working set (its input excluded) at 4x the
+        clients stays within 1.5x -- only the per-shard ledger grows."""
+
+        def peak_bytes(n):
+            draw = np.random.default_rng(n)
+            vecs = draw.integers(0, 2, size=(n, 20))
+            submitted = draw.random(n) > 0.05
+            tracemalloc.start()
+            try:
+                hierarchical_secure_sum(vecs, submitted, 32, workers=1, rng=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(4_000), peak_bytes(16_000)
+        assert large / small <= 1.5, (small, large)
 
 
 class TestServerSecureRounds:

@@ -43,6 +43,7 @@ __all__ = [
     "TRACE_CONTEXT_VERSION",
     "TELEMETRY_VERSION",
     "ClientTelemetry",
+    "MessageFramer",
     "ReportBatch",
     "TraceContext",
     "encode_report",
@@ -51,6 +52,7 @@ __all__ = [
     "decode_batch",
     "decode_batch_array",
     "encode_announce",
+    "encode_announcements",
     "decode_announce",
     "encode_telemetry",
     "decode_telemetry",
@@ -345,6 +347,62 @@ def decode_message_header(header: bytes) -> tuple[int, int, int]:
     return kind, seq, length
 
 
+class MessageFramer:
+    """Incremental control-message parser for callback-driven connections.
+
+    Feed it whatever bytes the transport delivered, at any chunk boundary;
+    :meth:`feed` returns every ``(kind, seq, payload)`` message completed so
+    far, in stream order -- exactly what repeated
+    :func:`~repro.federated.fleet.read_message` calls would yield over the
+    same bytes.  Headers are validated by :func:`decode_message_header` as
+    soon as their 12 bytes are in, so an oversized length is rejected
+    before any of its payload is buffered.
+
+    A malformed header desynchronizes the stream for good: :attr:`error`
+    holds its :class:`ProtocolError`, the messages that preceded it in the
+    same chunk are still returned, and every later :meth:`feed` returns
+    nothing.
+    """
+
+    __slots__ = ("_buffer", "_needed", "error")
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        #: Bytes the buffer must hold before another message can complete.
+        self._needed = MESSAGE_HEADER_SIZE
+        self.error: ProtocolError | None = None
+
+    def feed(self, data: bytes) -> list[tuple[int, int, bytes]]:
+        """Consume one chunk; returns the messages it completed."""
+        if self.error is not None:
+            return []
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            if len(buffer) < self._needed:
+                return []
+            data = bytes(buffer)
+            buffer.clear()
+        messages = []
+        offset, end = 0, len(data)
+        self._needed = MESSAGE_HEADER_SIZE
+        while end - offset >= MESSAGE_HEADER_SIZE:
+            body = offset + MESSAGE_HEADER_SIZE
+            try:
+                kind, seq, length = decode_message_header(data[offset:body])
+            except ProtocolError as exc:
+                self.error = exc
+                return messages
+            if body + length > end:
+                self._needed = MESSAGE_HEADER_SIZE + length
+                break
+            messages.append((kind, seq, data[body : body + length]))
+            offset = body + length
+        if offset < end:
+            buffer += memoryview(data)[offset:]
+        return messages
+
+
 # ----------------------------------------------------------------------
 # Trace-context and telemetry payloads (distributed tracing over the wire)
 # ----------------------------------------------------------------------
@@ -408,6 +466,28 @@ def encode_announce(
     if context is not None:
         payload["trace"] = context.to_wire()
     return json.dumps(payload).encode()
+
+
+def encode_announcements(
+    fields: Mapping[str, Any],
+    n_bits: int,
+    context: TraceContext | None = None,
+    seq: int = 0,
+) -> list[bytes]:
+    """Every distinct ANNOUNCE message of one attempt, indexed by bit.
+
+    Entry ``j`` is the complete message for a client assigned bit ``j``:
+    ``fields`` plus ``bit_index=j``, framed with ``seq``.  A round has only
+    ``n_bits`` distinct announcements however many clients it serves, so
+    the server encodes each once and writes the same bytes to every client
+    holding that bit.
+    """
+    return [
+        encode_message(
+            MSG_ANNOUNCE, encode_announce(dict(fields, bit_index=j), context), seq=seq
+        )
+        for j in range(n_bits)
+    ]
 
 
 def decode_announce(payload: bytes) -> tuple[dict[str, Any], TraceContext | None]:

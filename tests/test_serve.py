@@ -372,6 +372,56 @@ class TestUplinkRejection:
         assert served.surviving_clients == 1
 
 
+class TestVanishedClients:
+    @pytest.mark.parametrize(
+        "farewell, rejects",
+        [(None, 0), (b"XXXX" + bytes(8), 1)],
+        ids=["hang-up", "garbage-header"],
+    )
+    def test_client_that_can_no_longer_report_is_a_dropout_at_once(self, farewell, rejects):
+        # A registered client that hangs up, or whose stream breaks at the
+        # message layer, can never report: collection must not wait for it.
+        # With no deadline, waiting would hang the round forever.
+        n = 9
+        raw_id = n - 1
+        values = fleet_values(n, seed=4)
+        cfg = ServeConfig(n_clients=n, seed=12, deadline_s=None, registration_timeout_s=10.0)
+
+        async def raw_client(port):
+            reader, writer = await asyncio.open_connection(cfg.host, port)
+            writer.write(encode_message(MSG_HELLO, json.dumps({"client_id": raw_id}).encode()))
+            await writer.drain()
+            kind, _seq, _payload = await read_message(reader)
+            assert kind == MSG_ANNOUNCE
+            if farewell is not None:
+                writer.write(farewell)
+                await writer.drain()
+                # The server stops reading this client but still tells it
+                # the outcome.
+                kind, _seq, _payload = await read_message(reader)
+                assert kind == MSG_RESULT
+            writer.close()
+
+        async def scenario():
+            server = RoundServer(cfg)
+            port = await server.start()
+            fleet = ClientFleet(values[:raw_id], seed=4)
+            clients = asyncio.gather(fleet.run(cfg.host, port), raw_client(port))
+            served = await server.serve_round()
+            fleet_result, _ = await clients
+            await server.close()
+            return served, fleet_result
+
+        served, fleet_result = asyncio.run(asyncio.wait_for(scenario(), 20.0))
+        twin = in_process_estimate(values, cfg, fleet_seed=4, corrupted={raw_id})
+        assert served.registered_clients == n
+        assert served.surviving_clients == n - 1
+        assert served.estimate.value == twin.value
+        assert served.wire_rejects == rejects
+        assert served.telemetry_clients == n - 1
+        assert fleet_result.estimate == twin.value
+
+
 def _undecodable(data: bytes) -> bytes:
     """Make arbitrary bytes guaranteed-invalid as a report frame."""
     if len(data) != REPORT_SIZE:

@@ -6,6 +6,7 @@ rejects raises :class:`ProtocolError` (never a bare ``struct.error``), and
 decodable bytes re-encode canonically to the same frame.
 """
 
+import asyncio
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.federated.client import BitReport
+from repro.federated.fleet import read_message
 from repro.federated.wire import (
     MAGIC,
     MAX_MESSAGE_SIZE,
@@ -29,6 +31,7 @@ from repro.federated.wire import (
     TELEMETRY_VERSION,
     TRACE_CONTEXT_VERSION,
     ClientTelemetry,
+    MessageFramer,
     TraceContext,
     decode_announce,
     decode_batch,
@@ -37,6 +40,7 @@ from repro.federated.wire import (
     decode_report,
     decode_telemetry,
     encode_announce,
+    encode_announcements,
     encode_batch,
     encode_message,
     encode_report,
@@ -292,6 +296,92 @@ class TestMessageFraming:
             decode_message_header(bytes(oversized[:MESSAGE_HEADER_SIZE]))
 
 
+def _stream_read(data: bytes) -> tuple[list[tuple[int, int, bytes]], str | None]:
+    """What repeated ``read_message`` calls yield over ``data``, then why they stop."""
+
+    async def read_all():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        messages = []
+        while True:
+            try:
+                messages.append(await read_message(reader))
+            except ProtocolError as exc:
+                return messages, str(exc)
+            except asyncio.IncompleteReadError:
+                return messages, None
+
+    return asyncio.run(read_all())
+
+
+def _framer_read(data: bytes, cuts: list[int]) -> tuple[list[tuple[int, int, bytes]], str | None]:
+    """What one ``MessageFramer`` yields when ``data`` arrives split at ``cuts``."""
+    framer = MessageFramer()
+    messages = []
+    start = 0
+    for stop in [*sorted(cuts), len(data)]:
+        messages.extend(framer.feed(data[start:stop]))
+        start = stop
+    return messages, None if framer.error is None else str(framer.error)
+
+
+messages = st.lists(
+    st.tuples(
+        st.sampled_from(MESSAGE_KINDS),
+        st.integers(min_value=0, max_value=2**16 - 1),
+        st.binary(max_size=40),
+    ),
+    max_size=8,
+)
+
+
+class TestMessageFramer:
+    @given(sent=messages, tail=st.binary(max_size=2 * MESSAGE_HEADER_SIZE), data=st.data())
+    @settings(max_examples=150)
+    def test_any_chunking_yields_what_the_stream_reader_yields(self, sent, tail, data):
+        # ``tail`` is anything: a corrupt header, a truncated message, or a
+        # header whose payload never arrives.  The framer must deliver the
+        # same messages and stop for the same reason, at any chunk boundary.
+        if data.draw(st.booleans(), label="truncated message tail"):
+            whole = encode_message(MSG_TELEMETRY, tail)
+            tail = whole[: data.draw(st.integers(min_value=0, max_value=len(whole) - 1))]
+        stream = b"".join(encode_message(kind, payload, seq=seq) for kind, seq, payload in sent)
+        stream += tail
+        if data.draw(st.booleans(), label="one byte per feed"):
+            cuts = list(range(1, len(stream)))
+        else:
+            cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(stream))))
+        expected = _stream_read(stream)
+        assert expected[0][: len(sent)] == sent
+        assert _framer_read(stream, cuts) == expected
+
+    def test_messages_before_a_corrupt_header_are_delivered_first(self):
+        hello = encode_message(MSG_HELLO, b'{"client_id": 1}')
+        report = encode_message(MSG_REPORTS, b"x" * REPORT_SIZE, seq=1)
+        garbage = b"XXXX" + bytes(MESSAGE_HEADER_SIZE - 4)
+        framer = MessageFramer()
+        chunk = hello + report + garbage + encode_message(MSG_REPORTS, b"", seq=2)
+        assert framer.feed(chunk) == [
+            (MSG_HELLO, 0, b'{"client_id": 1}'),
+            (MSG_REPORTS, 1, b"x" * REPORT_SIZE),
+        ]
+        assert "bad message magic" in str(framer.error)
+        # The stream is desynchronized for good: nothing after the reject.
+        assert framer.feed(hello) == []
+
+    def test_oversized_length_rejected_before_its_payload_is_buffered(self):
+        header = bytearray(encode_message(MSG_REPORTS, b""))
+        header[8:12] = (MAX_MESSAGE_SIZE + 1).to_bytes(4, "big")
+        framer = MessageFramer()
+        assert framer.feed(bytes(header[:-1])) == []
+        assert framer.error is None
+        # The header's last byte alone triggers the reject: no payload byte
+        # has been fed, let alone buffered.
+        assert framer.feed(bytes(header[-1:])) == []
+        assert "exceeds" in str(framer.error)
+
+
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -383,6 +473,35 @@ class TestAnnounceTraceContext:
             if not isinstance(json.loads(junk), dict):
                 with pytest.raises(ProtocolError):
                     decode_announce(junk)
+
+
+class TestAnnouncementTable:
+    @given(
+        context=st.one_of(st.none(), trace_contexts),
+        attempt=st.integers(min_value=1, max_value=2**16 - 1),
+        n_bits=st.integers(min_value=1, max_value=64),
+        epsilon=st.one_of(st.none(), st.floats(min_value=0.1, max_value=10.0)),
+    )
+    @settings(max_examples=50)
+    def test_entry_j_is_the_per_client_announce_for_bit_j(self, context, attempt, n_bits, epsilon):
+        base = {
+            "attempt": attempt,
+            "n_bits": n_bits,
+            "scale": 1.0,
+            "offset": 0.0,
+            "epsilon": epsilon,
+            "deadline_s": 30.0,
+        }
+        table = encode_announcements(base, n_bits, context, seq=attempt)
+        assert len(table) == n_bits
+        for j, message in enumerate(table):
+            per_client = encode_announce(dict(base, bit_index=j), context)
+            assert message == encode_message(MSG_ANNOUNCE, per_client, seq=attempt)
+            kind, seq, length = decode_message_header(message[:MESSAGE_HEADER_SIZE])
+            assert (kind, seq, length) == (MSG_ANNOUNCE, attempt, len(per_client))
+            fields, decoded_context = decode_announce(message[MESSAGE_HEADER_SIZE:])
+            assert fields == dict(base, bit_index=j)
+            assert decoded_context == context
 
 
 span_dicts = st.fixed_dictionaries(

@@ -17,6 +17,11 @@ schedule would keep wasting clients there; the ``squash_multiple`` knob
 applies Section 3.3's bit squashing to the round-1 means (threshold expressed
 in multiples of the expected randomized-response noise) before the round-2
 schedule is computed, and to the final pooled means before reconstruction.
+
+The round-independent steps (cohort split, both schedules, pooling, final
+squash) are public methods: :class:`~repro.federated.server.FederatedMeanQuery`
+runs the same steps around its federated rounds, so Algorithm 2 has one
+implementation.
 """
 
 from __future__ import annotations
@@ -102,12 +107,15 @@ class AdaptiveBitPushing:
             raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
         if randomness not in _RANDOMNESS_MODES:
             raise ConfigurationError(f"randomness must be one of {_RANDOMNESS_MODES}")
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
+        if not np.isfinite(alpha) or alpha < 0:
+            raise ConfigurationError(f"alpha must be finite and >= 0, got {alpha}")
         if squash_multiple < 0:
             raise ConfigurationError(f"squash_multiple must be >= 0, got {squash_multiple}")
-        if squash_multiple > 0 and perturbation is None:
-            raise ConfigurationError("squash_multiple requires a perturbation (it is a DP noise filter)")
+        if squash_multiple > 0 and getattr(perturbation, "epsilon", None) is None:
+            raise ConfigurationError(
+                "squash_multiple requires a perturbation exposing an `epsilon` "
+                "(it is a DP noise filter)"
+            )
         self.encoder = encoder
         self.gamma = gamma if gamma is not None else (0.0 if perturbation is not None else 0.5)
         self.alpha = alpha
@@ -139,70 +147,34 @@ class AdaptiveBitPushing:
         metrics = get_metrics()
         encoded = np.asarray(encoded, dtype=np.uint64)
         n_clients = int(encoded.size)
-        if n_clients < 2:
-            raise ConfigurationError(
-                f"adaptive bit-pushing needs at least 2 clients, got {n_clients}"
-            )
-        n_bits = self.encoder.n_bits
-
-        # Split the cohort: a random delta-fraction participates in round 1.
-        n_round1 = min(max(int(round(self.delta * n_clients)), 1), n_clients - 1)
-        order = gen.permutation(n_clients)
-        cohort1 = encoded[order[:n_round1]]
-        cohort2 = encoded[order[n_round1:]]
+        cohort1, cohort2 = self.split(encoded, gen)
 
         # --- Round 1: input-independent geometric schedule. ---
         with tracer.span(
-            "adaptive.round1", {"n_clients": n_round1, "gamma": self.gamma}
+            "adaptive.round1", {"n_clients": int(cohort1.size), "gamma": self.gamma}
         ):
-            schedule1 = BitSamplingSchedule.geometric(n_bits, gamma=self.gamma)
-            summary1 = self._run_round(cohort1, schedule1, gen)
-        round1_means = summary1.bit_means
-        if self.squash_multiple > 0 and self.perturbation is not None:
-            threshold = self._squash_threshold(summary1.counts)
-            round1_means, _ = squash_bit_means(round1_means, threshold)
+            summary1 = self._run_round(cohort1, self.round1_schedule(), gen)
 
         # --- Round 2: data-driven schedule from round-1 bit means. ---
         with tracer.span(
-            "adaptive.round2", {"n_clients": n_clients - n_round1, "alpha": self.alpha}
+            "adaptive.round2", {"n_clients": int(cohort2.size), "alpha": self.alpha}
         ):
-            schedule2 = BitSamplingSchedule.from_bit_means(round1_means, alpha=self.alpha)
-            summary2 = self._run_round(cohort2, schedule2, gen)
+            summary2 = self._run_round(cohort2, self.round2_schedule(summary1), gen)
 
         # --- Final aggregation (Algorithm 2 lines 9-11). ---
         with tracer.span("adaptive.combine", {"caching": self.caching}) as combine_span:
+            pooled_means, pooled_counts = self.pool(summary1, summary2)
             if self.caching:
-                pooled_means, pooled_counts = combine_round_stats(
-                    [summary1.bit_means, summary2.bit_means],
-                    [summary1.counts, summary2.counts],
-                )
                 # Cache hits: bits whose round-1 evidence is pooled into the
                 # final estimate rather than discarded.
                 cache_hits = int(np.count_nonzero(summary1.counts > 0))
                 combine_span.set_attribute("cache_hits", cache_hits)
                 if metrics.enabled:
                     metrics.counter("adaptive_cache_hits_total").inc(cache_hits)
-            else:
-                # Round 2 only, but bits it never sampled fall back to round 1
-                # (they carried ~0 weight; dropping them entirely biases the
-                # estimate whenever round 1 mis-scored a bit).
-                pooled_means = np.where(
-                    summary2.counts > 0, summary2.bit_means, summary1.bit_means
-                )
-                pooled_counts = np.where(summary2.counts > 0, summary2.counts, summary1.counts)
         if metrics.enabled:
             metrics.counter("adaptive_estimates_total").inc()
 
-        squashed: tuple[int, ...] = ()
-        if self.perturbation is not None:
-            threshold = (
-                self._squash_threshold(pooled_counts)
-                if self.squash_multiple > 0
-                else np.zeros_like(pooled_means)
-            )
-            pooled_means, squashed_idx = squash_bit_means(pooled_means, threshold)
-            squashed = tuple(int(j) for j in squashed_idx)
-
+        pooled_means, squashed = self.final_squash(pooled_means, pooled_counts)
         encoded_mean = float(self.encoder.powers @ pooled_means)
         return MeanEstimate(
             value=self.encoder.decode_scalar(encoded_mean),
@@ -210,7 +182,7 @@ class AdaptiveBitPushing:
             bit_means=pooled_means,
             counts=pooled_counts,
             n_clients=n_clients,
-            n_bits=n_bits,
+            n_bits=self.encoder.n_bits,
             method=self.method,
             rounds=(summary1, summary2),
             squashed_bits=squashed,
@@ -224,6 +196,75 @@ class AdaptiveBitPushing:
                 "squash_multiple": self.squash_multiple,
             },
         )
+
+    # ------------------------------------------------------------------
+    # Round-independent steps of Algorithm 2.  FederatedMeanQuery runs the
+    # same steps around its own rounds, so these emit no spans or metrics.
+    def split(
+        self, cohort: np.ndarray, gen: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shuffle ``cohort``; the first ``delta`` fraction answers round 1.
+
+        ``gen.permutation(cohort)`` draws exactly as
+        ``cohort[gen.permutation(cohort.size)]``.  Both rounds get at least
+        one client.
+        """
+        n = int(cohort.size)
+        if n < 2:
+            raise ConfigurationError(f"adaptive bit-pushing needs at least 2 clients, got {n}")
+        n_round1 = min(max(int(round(self.delta * n)), 1), n - 1)
+        shuffled = gen.permutation(cohort)
+        return shuffled[:n_round1], shuffled[n_round1:]
+
+    def round1_schedule(self) -> BitSamplingSchedule:
+        """Round 1's input-independent ``p_j \\propto (2**j)**gamma``."""
+        return BitSamplingSchedule.geometric(self.encoder.n_bits, gamma=self.gamma)
+
+    def round2_schedule(self, summary1: RoundSummary) -> BitSamplingSchedule:
+        """Round 2's data-driven schedule from round 1's (squashed) bit means."""
+        means = summary1.bit_means
+        if self.squash_multiple > 0:
+            means, _ = squash_bit_means(means, self._squash_threshold(summary1.counts))
+        return BitSamplingSchedule.from_bit_means(means, alpha=self.alpha)
+
+    def pool(
+        self, summary1: RoundSummary, summary2: RoundSummary
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The final per-bit ``(means, counts)`` (Algorithm 2 lines 9-11).
+
+        With caching both rounds are pooled by report count.  Without it
+        round 2 stands alone, but bits it never sampled fall back to round 1
+        (they carried ~0 weight; dropping them entirely biases the estimate
+        whenever round 1 mis-scored a bit).
+        """
+        if self.caching:
+            return combine_round_stats(
+                [summary1.bit_means, summary2.bit_means],
+                [summary1.counts, summary2.counts],
+            )
+        have2 = summary2.counts > 0
+        return (
+            np.where(have2, summary2.bit_means, summary1.bit_means),
+            np.where(have2, summary2.counts, summary1.counts),
+        )
+
+    def final_squash(
+        self, means: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Under LDP: clip into ``[0, 1]`` and squash noise-level bits.
+
+        Returns the means to reconstruct from and the squashed bit indices;
+        without a perturbation ``means`` pass through untouched.
+        """
+        if self.perturbation is None:
+            return means, ()
+        threshold = (
+            self._squash_threshold(counts)
+            if self.squash_multiple > 0
+            else np.zeros_like(means)
+        )
+        means, squashed = squash_bit_means(means, threshold)
+        return means, tuple(int(j) for j in squashed)
 
     # ------------------------------------------------------------------
     def _run_round(
@@ -252,9 +293,5 @@ class AdaptiveBitPushing:
         )
 
     def _squash_threshold(self, counts: np.ndarray) -> np.ndarray:
-        epsilon = getattr(self.perturbation, "epsilon", None)
-        if epsilon is None:
-            raise ConfigurationError(
-                "squash_multiple needs a perturbation exposing an `epsilon` attribute"
-            )
-        return per_bit_squash_thresholds(self.squash_multiple, float(epsilon), counts)
+        epsilon = float(self.perturbation.epsilon)
+        return per_bit_squash_thresholds(self.squash_multiple, epsilon, counts)

@@ -95,7 +95,7 @@ def mean_methods(
                 schedule=BitSamplingSchedule.weighted(n_bits, alpha=alpha),
                 perturbation=rr,
             )
-            methods[label] = _wrap(est.estimate, batch=est.estimate_batch)
+            methods[label] = _wrap(est.estimate)
         elif label == "adaptive":
             est = AdaptiveBitPushing(
                 _encoder(n_bits),
@@ -126,15 +126,10 @@ def mean_methods(
     return methods
 
 
-def _wrap(estimate: Callable, batch: Callable | None = None) -> MeanMethod:
+def _wrap(estimate: Callable) -> MeanMethod:
     def run(values: np.ndarray, rng: np.random.Generator) -> float:
         return float(estimate(values, rng).value)
 
-    if batch is not None:
-        # Advertise the vectorized kernel; the execution engine dispatches
-        # to it when repetition populations share a shape (bit-identical to
-        # the scalar path -- see repro.metrics.execution).
-        run.estimate_batch = batch
     return run
 
 

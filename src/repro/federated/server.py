@@ -20,20 +20,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveBitPushing
 from repro.core.client_plane import (
     ClientBatch,
     collect_client_reports,
     elicit_values,
 )
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import (
-    BitPerturbation,
-    bit_means_from_stats,
-    combine_round_stats,
-)
+from repro.core.protocol import BitPerturbation, bit_means_from_stats
 from repro.core.results import MeanEstimate, RoundSummary
 from repro.core.sampling import BitSamplingSchedule, central_assignment
-from repro.core.squashing import per_bit_squash_thresholds, squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated.cohort import CohortSelector, Eligibility, Population
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
@@ -493,14 +489,8 @@ class FederatedMeanQuery:
     ) -> None:
         if mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
-        if not 0.0 < delta < 1.0:
-            raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
         if min_reports_per_bit < 0:
             raise ConfigurationError(f"min_reports_per_bit must be >= 0, got {min_reports_per_bit}")
-        if squash_multiple < 0:
-            raise ConfigurationError(f"squash_multiple must be >= 0, got {squash_multiple}")
-        if squash_multiple > 0 and perturbation is None:
-            raise ConfigurationError("squash_multiple requires a perturbation")
         if shard_size < 2:
             raise ConfigurationError(f"shard_size must be >= 2, got {shard_size}")
         if min_quorum < 1:
@@ -515,17 +505,22 @@ class FederatedMeanQuery:
             raise ConfigurationError(
                 f"schedule covers {schedule.n_bits} bits but encoder has {encoder.n_bits}"
             )
+        # Algorithm 2's round-independent steps (split, schedules, pooling)
+        # and the final LDP squash both modes reconstruct through; building
+        # it validates gamma/alpha/delta/squash_multiple before any round.
+        self.algorithm = AdaptiveBitPushing(
+            encoder,
+            gamma=gamma,
+            alpha=alpha,
+            delta=delta,
+            caching=caching,
+            perturbation=perturbation,
+            squash_multiple=squash_multiple,
+        )
         self.encoder = encoder
         self.mode = mode
         self.schedule = schedule or BitSamplingSchedule.weighted(encoder.n_bits, alpha=1.0)
-        # Under LDP the exploratory round defaults to uniform sampling; see
-        # AdaptiveBitPushing for the rationale.
-        self.gamma = gamma if gamma is not None else (0.0 if perturbation is not None else 0.5)
-        self.alpha = alpha
-        self.delta = delta
-        self.caching = caching
         self.perturbation = perturbation
-        self.squash_multiple = squash_multiple
         self.dropout = dropout
         self.network = network
         self.selector = selector or CohortSelector(min_cohort_size=1)
@@ -583,6 +578,7 @@ class FederatedMeanQuery:
                 self.selector,
             )
 
+            algorithm = self.algorithm
             if self.mode == "basic":
                 outcome, _ = self._run_round_with_recovery(
                     draw, positions, self.schedule, gen, round_index=1
@@ -591,53 +587,23 @@ class FederatedMeanQuery:
                 pooled_means = outcome.summary.bit_means
                 pooled_counts = outcome.summary.counts
             else:
-                n_round1 = min(max(int(round(self.delta * n_cohort)), 1), n_cohort - 1)
-                # Shuffles exactly as ``positions[gen.permutation(size)]``.
-                positions = gen.permutation(positions)
-                positions1, positions2 = positions[:n_round1], positions[n_round1:]
-
-                schedule1 = BitSamplingSchedule.geometric(self.encoder.n_bits, gamma=self.gamma)
+                positions1, positions2 = algorithm.split(positions, gen)
+                del positions  # the split returns a shuffled copy; free the original
+                schedule1 = algorithm.round1_schedule()
                 outcome1, positions1 = self._run_round_with_recovery(
                     draw, positions1, schedule1, gen, round_index=1, held=positions2
                 )
-                round1_means = outcome1.summary.bit_means
-                if self.squash_multiple > 0 and self.perturbation is not None:
-                    threshold = self._squash_threshold(outcome1.summary.counts)
-                    round1_means, _ = squash_bit_means(round1_means, threshold)
-
-                schedule2 = BitSamplingSchedule.from_bit_means(round1_means, alpha=self.alpha)
+                schedule2 = algorithm.round2_schedule(outcome1.summary)
                 outcome2, _ = self._run_round_with_recovery(
                     draw, positions2, schedule2, gen, round_index=2, held=positions1
                 )
                 outcomes = [outcome1, outcome2]
-
-                if self.caching:
-                    pooled_means, pooled_counts = combine_round_stats(
-                        [outcome1.summary.bit_means, outcome2.summary.bit_means],
-                        [outcome1.summary.counts, outcome2.summary.counts],
-                    )
-                else:
-                    have2 = outcome2.summary.counts > 0
-                    pooled_means = np.where(
-                        have2, outcome2.summary.bit_means, outcome1.summary.bit_means
-                    )
-                    pooled_counts = np.where(
-                        have2, outcome2.summary.counts, outcome1.summary.counts
-                    )
+                pooled_means, pooled_counts = algorithm.pool(outcome1.summary, outcome2.summary)
 
             with tracer.span(
                 "federated.reconstruct", {"n_bits": self.encoder.n_bits}
             ) as reconstruct_span:
-                squashed: tuple[int, ...] = ()
-                if self.perturbation is not None:
-                    threshold = (
-                        self._squash_threshold(pooled_counts)
-                        if self.squash_multiple > 0
-                        else np.zeros_like(pooled_means)
-                    )
-                    pooled_means, squashed_idx = squash_bit_means(pooled_means, threshold)
-                    squashed = tuple(int(j) for j in squashed_idx)
-
+                pooled_means, squashed = algorithm.final_squash(pooled_means, pooled_counts)
                 estimate = round_estimate(
                     outcomes,
                     self.encoder,
@@ -939,11 +905,3 @@ class FederatedMeanQuery:
             context="secure-agg per-bit sums",
         )
         return sums, counts, result
-
-    def _squash_threshold(self, counts: np.ndarray) -> np.ndarray:
-        epsilon = getattr(self.perturbation, "epsilon", None)
-        if epsilon is None:
-            raise ConfigurationError(
-                "squash_multiple needs a perturbation exposing an `epsilon` attribute"
-            )
-        return per_bit_squash_thresholds(self.squash_multiple, float(epsilon), counts)

@@ -40,9 +40,9 @@ from repro.verification.oracles import (
     basic_unbiasedness_oracle,
     basic_variance_bound_oracle,
     executor_twin_oracle,
+    federated_core_twin_oracle,
     rr_debias_oracle,
     secure_agg_oracle,
-    serial_twin_oracle,
     variance_estimator_oracle,
 )
 from repro.verification.selfcheck import CheckOutcome, SelfCheckReport, run_selfcheck
@@ -75,11 +75,11 @@ __all__ = [
     "chi2_sf",
     "chi_square_gof",
     "executor_twin_oracle",
+    "federated_core_twin_oracle",
     "normal_sf",
     "rr_debias_oracle",
     "run_selfcheck",
     "secure_agg_oracle",
-    "serial_twin_oracle",
     "variance_estimator_oracle",
     "variance_upper_tail",
     "z_test",

@@ -3,9 +3,9 @@
 Each oracle runs a fixed, seeded experiment and compares the outcome to a
 *ground truth the implementation cannot influence*: a closed-form
 expectation (unbiasedness, the Lemma 3.1 variance bound, the randomized-
-response debias identity), an exact plaintext twin (secure aggregation,
-batch/serial and parallel/serial bit-identity -- the PR-2 discipline made
-reusable), or a tolerance against the population statistic.
+response debias identity), an exact twin (secure aggregation vs plaintext,
+parallel vs serial execution, federated vs core estimator -- bit-identity
+checks made reusable), or a tolerance against the population statistic.
 
 All oracles consume randomness exclusively through spawned children of the
 caller's seed, so a given ``(oracle, seed)`` pair is fully deterministic --
@@ -53,9 +53,9 @@ __all__ = [
     "basic_variance_bound_oracle",
     "columnar_twin_oracle",
     "executor_twin_oracle",
+    "federated_core_twin_oracle",
     "rr_debias_oracle",
     "secure_agg_oracle",
-    "serial_twin_oracle",
     "variance_estimator_oracle",
 ]
 
@@ -300,45 +300,66 @@ def baseline_unbiasedness_oracle(
 # Differential (exact-twin) oracles
 # ----------------------------------------------------------------------
 
-def serial_twin_oracle(
+def federated_core_twin_oracle(
     seed: int = 0,
-    n_reps: int = 32,
     n_clients: int = 512,
     n_bits: int = 8,
     perturbation: BitPerturbation | None = None,
-    squash_threshold: float = 0.0,
 ) -> OracleResult:
-    """``estimate_batch`` is bit-identical to the serial ``estimate`` loop.
+    """A lossless federated query is bit-identical to its core estimator.
 
-    The PR-2 vectorization discipline as a standing check: both paths
-    consume per-repetition child generators in the same order, so any
-    divergence at all -- one ULP -- means the batch kernel drifted.
+    With no dropout, no network and the whole population as cohort,
+    :class:`FederatedMeanQuery` over ``ClientBatch.from_values(v)`` draws
+    from its generator exactly as :class:`BasicBitPushing` /
+    :class:`AdaptiveBitPushing` do on ``v``, so from one seed the value,
+    bit means, report counts and squashed bits must all be equal.  Cases:
+    basic, and adaptive with caching on and off; under ``perturbation``
+    adaptive also runs with ``squash_multiple`` 0 and 2.  This pins the
+    Algorithm 2 steps both paths share (split, schedules, pooling, final
+    squash) to one behaviour.
     """
     parent = ensure_rng(seed)
-    pop_gen = parent.spawn(1)[0]
-    values = pop_gen.integers(0, 2**n_bits, size=(n_reps, n_clients)).astype(np.float64)
+    pop_gen, seed_gen = parent.spawn(2)
+    values = pop_gen.integers(0, 2**n_bits, size=n_clients).astype(np.float64)
+    batch = ClientBatch.from_values(values)
     encoder = FixedPointEncoder.for_integers(n_bits)
-    estimator = BasicBitPushing(
-        encoder, perturbation=perturbation, squash_threshold=squash_threshold
-    )
-    seeds = [int(s) for s in parent.integers(0, 2**31, size=n_reps)]
-    batch = estimator.estimate_batch(values, [np.random.default_rng(s) for s in seeds])
-    serial = np.array(
-        [
-            estimator.estimate(values[r], rng=np.random.default_rng(seeds[r])).value
-            for r in range(n_reps)
-        ]
-    )
-    max_diff = float(np.max(np.abs(batch - serial))) if n_reps else 0.0
-    identical = bool(np.array_equal(batch, serial))
+    run_seed = int(seed_gen.integers(0, 2**31))
+    squash_multiples = (0.0, 2.0) if perturbation is not None else (0.0,)
+    cases: list[tuple[str, dict]] = [("basic", {})] + [
+        ("adaptive", {"caching": caching, "squash_multiple": squash})
+        for caching in (True, False)
+        for squash in squash_multiples
+    ]
+    name = f"twin-federated-vs-core[ldp={perturbation is not None}]"
+    for mode, kwargs in cases:
+        if mode == "basic":
+            core = BasicBitPushing(encoder, perturbation=perturbation)
+        else:
+            core = AdaptiveBitPushing(encoder, perturbation=perturbation, **kwargs)
+        query = FederatedMeanQuery(encoder, mode=mode, perturbation=perturbation, **kwargs)
+        expected = core.estimate(values, rng=np.random.default_rng(run_seed))
+        result = query.run(batch, rng=np.random.default_rng(run_seed))
+        identical = (
+            result.value == expected.value
+            and np.array_equal(result.bit_means, expected.bit_means)
+            and np.array_equal(result.counts, expected.counts)
+            and result.squashed_bits == expected.squashed_bits
+        )
+        if not identical:
+            diff = abs(result.value - expected.value)
+            return OracleResult(
+                name=name,
+                passed=False,
+                detail=f"federated {mode} {kwargs} diverged from core: |diff| = {diff:.3e}",
+                statistic=diff,
+                n_reps=len(cases),
+            )
     return OracleResult(
-        name=f"twin-batch-vs-serial[ldp={perturbation is not None}]",
-        passed=identical,
-        detail=(
-            "bit-identical" if identical else f"batch/serial max |diff| = {max_diff:.3e}"
-        ),
-        statistic=max_diff,
-        n_reps=n_reps,
+        name=name,
+        passed=True,
+        detail=f"bit-identical over {len(cases)} federated/core pairs",
+        statistic=0.0,
+        n_reps=len(cases),
     )
 
 

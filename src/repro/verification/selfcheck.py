@@ -207,14 +207,12 @@ def _oracle_runs(
             lambda: _oracles.adaptive_unbiasedness_oracle(seed=seed + 3, n_reps=reps),
         ),
         (
-            "twin/batch-vs-serial",
-            lambda: _oracles.serial_twin_oracle(seed=seed + 4),
+            "twin/federated-vs-core",
+            lambda: _oracles.federated_core_twin_oracle(seed=seed + 4),
         ),
         (
-            "twin/batch-vs-serial/ldp",
-            lambda: _oracles.serial_twin_oracle(
-                seed=seed + 5, perturbation=RandomizedResponse(epsilon=2.0)
-            ),
+            "twin/federated-vs-core/ldp",
+            lambda: _oracles.federated_core_twin_oracle(seed=seed + 5, perturbation=rr),
         ),
         (
             "twin/executor",

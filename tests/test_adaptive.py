@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AdaptiveBitPushing, BasicBitPushing, FixedPointEncoder
+from repro.core import AdaptiveBitPushing, BasicBitPushing, FixedPointEncoder, RoundSummary
 from repro.exceptions import ConfigurationError
 from repro.privacy import RandomizedResponse
 
@@ -15,8 +15,14 @@ class TestConstruction:
                 AdaptiveBitPushing(encoder8, delta=delta)
 
     def test_invalid_alpha(self, encoder8):
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                AdaptiveBitPushing(encoder8, alpha=alpha)
+
+    def test_squash_needs_epsilon(self, encoder8):
+        # The squash threshold is in multiples of the epsilon-RR noise level.
         with pytest.raises(ConfigurationError):
-            AdaptiveBitPushing(encoder8, alpha=-1.0)
+            AdaptiveBitPushing(encoder8, perturbation=object(), squash_multiple=2.0)
 
     def test_invalid_randomness(self, encoder8):
         with pytest.raises(ConfigurationError):
@@ -29,6 +35,46 @@ class TestConstruction:
     def test_too_few_clients_raise(self, encoder8, rng):
         with pytest.raises(ConfigurationError):
             AdaptiveBitPushing(encoder8).estimate(np.array([5.0]), rng)
+
+
+class TestSharedSteps:
+    def test_split_draws_like_indexing_by_a_permutation(self, encoder8):
+        cohort = np.arange(100, 110)
+        first, second = AdaptiveBitPushing(encoder8, delta=0.3).split(
+            cohort, np.random.default_rng(3)
+        )
+        order = np.random.default_rng(3).permutation(cohort.size)
+        np.testing.assert_array_equal(first, cohort[order[:3]])
+        np.testing.assert_array_equal(second, cohort[order[3:]])
+
+    def test_split_keeps_both_rounds_non_empty(self, encoder8):
+        for delta in (1e-6, 1.0 - 1e-6):
+            first, second = AdaptiveBitPushing(encoder8, delta=delta).split(
+                np.arange(2), np.random.default_rng(0)
+            )
+            assert first.size == 1 and second.size == 1
+
+    def test_pool_without_caching_falls_back_to_round1(self):
+        def summary(means, counts):
+            counts = np.asarray(counts)
+            means = np.asarray(means, dtype=np.float64)
+            return RoundSummary(
+                probabilities=np.full(2, 0.5),
+                counts=counts,
+                sums=means * counts,
+                bit_means=means,
+                n_clients=int(counts.sum()),
+            )
+
+        est = AdaptiveBitPushing(FixedPointEncoder.for_integers(2), caching=False)
+        means, counts = est.pool(summary([0.2, 0.4], [5, 5]), summary([0.6, 0.0], [10, 0]))
+        np.testing.assert_array_equal(means, [0.6, 0.4])
+        np.testing.assert_array_equal(counts, [10, 5])
+
+    def test_final_squash_is_identity_without_perturbation(self, encoder8):
+        means = np.array([-0.1, 0.5, 1.2])
+        out, squashed = AdaptiveBitPushing(encoder8).final_squash(means, np.ones(3))
+        assert out is means and squashed == ()
 
 
 class TestAccuracy:

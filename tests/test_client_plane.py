@@ -451,20 +451,3 @@ class TestVectorGrouping:
                 vectors[groups[dim], dim], gen
             )
             assert result.per_dim[dim].value == expected.value
-
-
-# ----------------------------------------------------------------------
-# estimate_batch dispatch: no population cap, shared chunk budget
-# ----------------------------------------------------------------------
-
-
-class TestBatchDispatchUncapped:
-    def test_large_population_batches_bit_identically(self, monkeypatch):
-        # 3000 > the old 2048 cap: rows must still go through estimate_batch
-        # and match per-row estimate() exactly.
-        rng = np.random.default_rng(4)
-        values = rng.normal(300.0, 50.0, size=(3, 3000))
-        est = BasicBitPushing(FixedPointEncoder.for_integers(9))
-        batched = est.estimate_batch(values, [10, 11, 12])
-        scalar = [est.estimate(values[r], np.random.default_rng(10 + r)).value for r in range(3)]
-        np.testing.assert_array_equal(batched, scalar)

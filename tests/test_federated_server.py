@@ -14,7 +14,7 @@ from repro.federated import (
     attribute_equals,
     ground_truth_mean,
 )
-from repro.privacy import BitMeter, RandomizedResponse
+from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
 
 
 def make_population(n=3_000, mean=200.0, std=40.0, seed=0, multi=False):
@@ -209,6 +209,22 @@ class TestConfigValidation:
     def test_invalid_delta(self, encoder):
         with pytest.raises(ConfigurationError):
             FederatedMeanQuery(encoder, delta=1.5)
+
+    def test_invalid_alpha_rejected_before_any_round(self, encoder):
+        meter = BitMeter()
+        accountant = PrivacyAccountant()
+        with pytest.raises(ConfigurationError, match="alpha"):
+            FederatedMeanQuery(
+                encoder,
+                mode="adaptive",
+                alpha=-1.0,
+                meter=meter,
+                accountant=accountant,
+                perturbation=RandomizedResponse(epsilon=2.0),
+            )
+        assert meter.total_bits == 0
+        assert accountant.spent_epsilon == 0.0
+        assert accountant.entries == ()
 
     def test_squash_without_perturbation(self, encoder):
         with pytest.raises(ConfigurationError):

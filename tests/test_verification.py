@@ -34,9 +34,9 @@ from repro.verification.oracles import (
     adaptive_unbiasedness_oracle,
     basic_unbiasedness_oracle,
     basic_variance_bound_oracle,
+    federated_core_twin_oracle,
     rr_debias_oracle,
     secure_agg_oracle,
-    serial_twin_oracle,
     variance_estimator_oracle,
 )
 from repro.verification.statcheck import TestResult as StatResult
@@ -256,9 +256,10 @@ class TestOraclesPassOnHonestCode:
         result = variance_estimator_oracle(seed=11, n_reps=30, n_clients=8000)
         assert result.passed, result.detail
 
-    def test_serial_twin(self):
-        result = serial_twin_oracle(seed=11, n_reps=8, n_clients=256)
-        assert result.passed, result.detail
+    def test_federated_core_twin(self):
+        for perturbation in (None, RandomizedResponse(epsilon=2.0)):
+            result = federated_core_twin_oracle(seed=11, n_clients=256, perturbation=perturbation)
+            assert result.passed, result.detail
 
     def test_secure_agg(self):
         result = secure_agg_oracle(seed=11)

@@ -34,10 +34,9 @@ bench-check: bench
 	python scripts/bench_summary.py --check BENCH_micro.json
 
 # Scale studies at full size: the columnar client plane (10**5..10**7
-# clients -- clients/sec per population size, object-path speedup,
-# tracemalloc peak), the secure-aggregation hierarchy (shard-group
-# kernels vs the per-client submit loop at 10**4 clients, and alone at
-# 10**5), and the
+# clients -- clients/sec per population size and tracemalloc peak), the
+# secure-aggregation hierarchy (shard-group kernels vs the per-client
+# submit loop at 10**4 clients, and alone at 10**5), and the
 # wire-served round (loopback TCP reports/sec, single and concurrent
 # campaigns).  Appends to the repo-root BENCH_scale.json trajectory,
 # then gates on it: the run fails if any shared throughput rate dropped

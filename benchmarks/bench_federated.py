@@ -5,7 +5,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.core import FixedPointEncoder
 from repro.experiments import dropout_adjustment, render_series_table
-from repro.federated import ClientDevice, FederatedMeanQuery, ground_truth_mean, secure_sum
+from repro.federated import ClientBatch, FederatedMeanQuery, ground_truth_mean, secure_sum
 
 
 def test_dropout_adjustment(benchmark, emit):
@@ -49,12 +49,11 @@ def test_federated_query_end_to_end(benchmark, emit):
     """A full federated adaptive query (the deployment configuration) stays
     within a few percent of the sampling ground truth."""
     rng = np.random.default_rng(1)
-    population = [
-        ClientDevice(i, np.clip(rng.normal(200.0, 40.0, rng.integers(1, 4)), 0, None))
-        for i in range(5_000)
-    ]
+    population = ClientBatch.from_multisets(
+        [np.clip(rng.normal(200.0, 40.0, rng.integers(1, 4)), 0, None) for _ in range(5_000)]
+    )
     query = FederatedMeanQuery(FixedPointEncoder.for_integers(9), mode="adaptive")
-    truth = ground_truth_mean([c.values for c in population])
+    truth = ground_truth_mean(population)
 
     estimate = run_once(benchmark, lambda: query.run(population, rng=2))
     rel_err = abs(estimate.value - truth) / truth

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core import FixedPointEncoder
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     CohortSelector,
     DropoutModel,
     FederatedMeanQuery,
@@ -33,21 +33,20 @@ from repro.federated import (
 from repro.privacy import BitMeter, RandomizedResponse
 
 
-def build_population(rng: np.random.Generator, n: int = 6_000) -> list[ClientDevice]:
-    population = []
-    for i in range(n):
+def build_population(rng: np.random.Generator, n: int = 6_000) -> ClientBatch:
+    readings, geos = [], []
+    for _ in range(n):
         n_readings = int(rng.integers(1, 6))
-        readings = np.clip(rng.normal(180.0, 35.0, n_readings), 0.0, None)
-        geo = rng.choice(["us", "eu", "apac"], p=[0.5, 0.3, 0.2])
-        population.append(ClientDevice(i, readings, {"geo": str(geo)}))
-    return population
+        readings.append(np.clip(rng.normal(180.0, 35.0, n_readings), 0.0, None))
+        geos.append(str(rng.choice(["us", "eu", "apac"], p=[0.5, 0.3, 0.2])))
+    return ClientBatch.from_multisets(readings, attributes={"geo": np.array(geos)})
 
 
 def main() -> None:
     rng = np.random.default_rng(11)
     population = build_population(rng)
-    us_devices = [c for c in population if c.attributes["geo"] == "us"]
-    truth = ground_truth_mean([c.values for c in us_devices], strategy="sample")
+    us_devices = population.take(np.flatnonzero(population.attributes["geo"] == "us"))
+    truth = ground_truth_mean(us_devices, strategy="sample")
     print(f"population: {len(population)} devices, {len(us_devices)} in 'us'")
     print(f"sampling-consistent ground truth (us): {truth:.3f}")
 

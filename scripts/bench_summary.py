@@ -28,7 +28,7 @@ cross-runner numbers and passes a looser tolerance.
 ``--scale`` summarizes the columnar scale study instead: the source is the
 ``benchmarks/results/scale.json`` payload written by
 ``benchmarks/bench_scale.py::test_columnar_round_throughput`` (clients/sec
-per population size, object-path speedup, tracemalloc peak) and
+per population size, tracemalloc peak) and
 ``test_secure_agg_throughput`` (hierarchical masking clients/sec), appended
 to a ``BENCH_scale.json`` trajectory with the same labelling rules
 (``make bench-scale`` drives the full 10**7 run).  ``--check --scale``
@@ -79,15 +79,16 @@ def summarize_scale(payload: dict, label: str | None = None) -> dict:
     """Reduce one ``scale.json`` payload to a scale-trajectory entry.
 
     The stable numbers: clients/sec at each benched population size, the
-    object-path speedup at the reference size, the streaming chunk, the
+    streaming chunk, the
     tracemalloc peak per client at the largest size, and -- when the
     secure-aggregation study ran -- the hierarchical masking throughput
     (at the study size and, when recorded, at its larger scale size) and
     its speedup over the per-client submit loop, plus the wire-served
     round throughput (single and concurrent campaigns) when that study ran.
+    Payloads from before the object population was removed also carry its
+    speedup at the reference size, kept as ``speedup_vs_object``.
     """
     columnar = payload.get("columnar", {})
-    reference = payload.get("object_reference", {})
     memory = payload.get("tracemalloc", {})
     secure = payload.get("secure_agg", {})
     serve = payload.get("serve", {})
@@ -99,11 +100,12 @@ def summarize_scale(payload: dict, label: str | None = None) -> dict:
                 columnar.items(), key=lambda item: int(item[0])
             )
         },
-        "speedup_vs_object": payload.get("speedup_vs_object"),
-        "object_reference_n": reference.get("n"),
         "peak_bytes_per_client": memory.get("peak_bytes_per_client"),
         "peak_at_n": memory.get("n"),
     }
+    if "speedup_vs_object" in payload:
+        entry["speedup_vs_object"] = payload["speedup_vs_object"]
+        entry["object_reference_n"] = payload.get("object_reference", {}).get("n")
     if secure:
         entry["secure_agg"] = {
             "n": secure.get("n"),

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core import FixedPointEncoder
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     FaultSchedule,
     FederatedMeanQuery,
     MonitoringCampaign,
@@ -71,10 +71,7 @@ def run_demo(
 ) -> HealthMonitor:
     """Run the chaos campaign; returns the health monitor for inspection."""
     rng = np.random.default_rng(seed)
-    population = [
-        ClientDevice(i, np.clip(rng.normal(600.0, 100.0, 1), 0.0, None))
-        for i in range(n_clients)
-    ]
+    population = ClientBatch.from_values(np.clip(rng.normal(600.0, 100.0, n_clients), 0.0, None))
     sink = None
     if out_dir is not None:
         sink = Path(out_dir) / ALERTS_FILENAME
@@ -112,10 +109,7 @@ def run_secure_demo(
     masking sessions increment into.
     """
     rng = np.random.default_rng(seed)
-    population = [
-        ClientDevice(i, np.clip(rng.normal(600.0, 100.0, 1), 0.0, None))
-        for i in range(n_clients)
-    ]
+    population = ClientBatch.from_values(np.clip(rng.normal(600.0, 100.0, n_clients), 0.0, None))
     sink = None
     if out_dir is not None:
         sink = Path(out_dir) / "secure" / ALERTS_FILENAME

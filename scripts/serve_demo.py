@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.core import FixedPointEncoder
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     EmulationProfile,
     FederatedMeanQuery,
     ServeConfig,
@@ -80,10 +80,9 @@ def lossless_leg(out_root: Path) -> Path:
     record_dir = out_root / "lossless"
     served, fleet = _recorded_loopback(record_dir, cfg, values, fleet_seed=3)
 
-    population = [ClientDevice(i, [float(v)]) for i, v in enumerate(values)]
     in_process = FederatedMeanQuery(
         FixedPointEncoder.for_integers(cfg.n_bits), mode="basic"
-    ).run(population, rng=cfg.seed)
+    ).run(ClientBatch.from_values(values), rng=cfg.seed)
     if served.estimate.value != in_process.value:
         raise SystemExit(
             f"PARITY MISS: served {served.estimate.value!r} != "

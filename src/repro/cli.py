@@ -69,7 +69,6 @@ from repro.experiments import (
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import (
     ClientBatch,
-    ClientDevice,
     ClientFleet,
     DropoutModel,
     EmulationProfile,
@@ -213,8 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--quick", action="store_true", help="smaller cohort")
     trace.add_argument(
         "--clients", type=int, default=None, metavar="N",
-        help="population size; switches the round to the columnar client plane "
-        "(one ClientBatch instead of N ClientDevice objects)",
+        help="population size; builds the ClientBatch column-wise (sizes, then "
+        "one flat value draw) instead of client by client",
     )
     trace.add_argument(
         "--chunk", type=int, default=None, metavar="SIZE",
@@ -497,10 +496,10 @@ def run_traced_round(
     ``fault_schedule`` configure round-failure recovery (a chaos run: see
     ``docs/operations.md``).
 
-    ``clients`` overrides the target's population size and builds the
-    population as one columnar :class:`ClientBatch` (struct-of-arrays)
-    instead of ``ClientDevice`` objects, exercising the vectorized client
-    plane; ``chunk`` bounds the streaming chunk size so elicitation and
+    The population is one :class:`ClientBatch` either way.  ``clients``
+    overrides the target's population size and draws the batch
+    column-wise (sizes, then one flat value draw) instead of client by
+    client; ``chunk`` bounds the streaming chunk size so elicitation and
     report collection emit per-chunk ``client_plane.*`` spans (see
     ``docs/performance.md``).
 
@@ -529,20 +528,21 @@ def run_traced_round(
 
     rng = np.random.default_rng(seed)
     if columnar:
-        # One struct-of-arrays batch: same value distribution as the object
-        # path, drawn column-wise (sizes then one flat value draw).
+        # Same value distribution as the default population, drawn
+        # column-wise (sizes then one flat value draw).
         sizes = rng.integers(1, 4, n_clients)
         flat = np.clip(rng.normal(600.0, 100.0, int(sizes.sum())), 0.0, None)
         offsets = np.zeros(n_clients + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         population = ClientBatch(values=flat, offsets=offsets)
-        truth = ground_truth_mean(population)
     else:
-        population = [
-            ClientDevice(i, np.clip(rng.normal(600.0, 100.0, rng.integers(1, 4)), 0.0, None))
-            for i in range(n_clients)
-        ]
-        truth = ground_truth_mean([c.values for c in population])
+        population = ClientBatch.from_multisets(
+            [
+                np.clip(rng.normal(600.0, 100.0, rng.integers(1, 4)), 0.0, None)
+                for _ in range(n_clients)
+            ]
+        )
+    truth = ground_truth_mean(population)
 
     recording = record_dir is not None
     accountant = PrivacyAccountant() if recording else None

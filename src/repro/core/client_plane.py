@@ -1,11 +1,9 @@
 """Columnar client plane: struct-of-arrays client state + chunked kernels.
 
-A federated round over N clients historically materialized N Python objects
-(:class:`~repro.federated.client.ClientDevice`), N-element cohort lists, and
-per-report temporaries -- fatal past ~10**5 clients.  This module replaces
-that representation with one :class:`ClientBatch` (contiguous arrays for
-values, multiset offsets, ids, and attribute columns) and implements the
-client half of the protocol -- value elicitation, fixed-point encoding, bit
+A round's population is one :class:`ClientBatch` (contiguous arrays for
+values, multiset offsets, ids, and attribute columns), never one Python
+object per client.  This module implements the client half of the
+protocol over it -- value elicitation, fixed-point encoding, bit
 extraction, randomized response, and per-bit aggregation -- as vectorized
 NumPy kernels processed in bounded-memory chunks of ``REPRO_BATCH_CHUNK``
 clients (default 64k), so 10M-client rounds stream without blowup.
@@ -13,9 +11,8 @@ clients (default 64k), so 10M-client rounds stream without blowup.
 **Bit-identity contract.**  Every kernel here consumes randomness exactly as
 the per-client reference it replaces -- one
 :func:`~repro.federated.multivalue.elicit_single_value` call per client in
-order (what ``ClientDevice.elicit`` runs) for elicitation,
-:func:`~repro.core.protocol.collect_bit_reports` for collection -- for *any*
-chunk size (including 1 and > n):
+order for elicitation, :func:`~repro.core.protocol.collect_bit_reports` for
+collection -- for *any* chunk size (including 1 and > n):
 
 * NumPy ``Generator`` draws are element-sequential in C order, so splitting
   one ``gen.integers(sizes)`` / ``gen.random(shape)`` call into consecutive
@@ -43,7 +40,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +52,7 @@ from repro.rng import ensure_rng
 
 __all__ = [
     "DEFAULT_CHUNK_CLIENTS",
+    "ELICITATION_STRATEGIES",
     "ClientBatch",
     "batch_chunk_size",
     "elicit_values",
@@ -67,6 +65,9 @@ __all__ = [
 #: memory-bounded -- while per-chunk call overhead is amortized over tens of
 #: thousands of rows.
 DEFAULT_CHUNK_CLIENTS = 65_536
+
+#: Supported strategies for reducing a client's multiset to one value.
+ELICITATION_STRATEGIES = ("sample", "mean", "max", "latest")
 
 
 def batch_chunk_size(chunk: int | None = None) -> int:
@@ -104,10 +105,8 @@ class ClientBatch:
 
     Client ``i`` holds the multiset ``values[offsets[i]:offsets[i+1]]`` (at
     least one value each), identity ``client_ids[i]``, and one entry per
-    attribute column.  This is the round engine's only population:
-    :class:`~repro.federated.server.FederatedMeanQuery` also accepts a
-    ``Sequence[ClientDevice]``, which it converts once with
-    :meth:`from_devices`.
+    attribute column.  This is the only population type: the round engine,
+    cohort selection and the ground truth all take a ``ClientBatch``.
 
     Parameters
     ----------
@@ -116,7 +115,7 @@ class ClientBatch:
     offsets:
         int64 prefix array of length ``n + 1`` (``offsets[0] == 0``,
         ``offsets[-1] == values.size``, strictly increasing -- empty
-        multisets are rejected, matching ``ClientDevice``).
+        multisets are rejected).
     client_ids:
         int64 identity per client (default: ``arange(n)``).
     attributes:
@@ -216,40 +215,30 @@ class ClientBatch:
         return cls(vals, offsets, client_ids, dict(attributes or {}))
 
     @classmethod
-    def from_devices(cls, devices: Iterable[Any]) -> "ClientBatch":
-        """Build a batch from device objects (duck-typed ``ClientDevice``).
+    def from_multisets(
+        cls,
+        values: Sequence[Any],
+        client_ids: np.ndarray | None = None,
+        attributes: dict[str, np.ndarray] | None = None,
+    ) -> "ClientBatch":
+        """One multiset per client: ``values[i]`` is client ``i``'s observations.
 
-        Each device must expose ``values`` (non-empty) and may expose
-        ``client_id`` and an ``attributes`` mapping; attribute columns are
-        the union of keys (missing entries become ``None``).  This is the
-        boundary where object populations enter the round engine:
-        :class:`~repro.federated.server.FederatedMeanQuery` converts a
-        ``Sequence[ClientDevice]`` here once per query.  It is O(n) Python,
-        so large populations should be built columnar directly.
+        Each entry may be a scalar or a 1-D array of one or more values.
+
+        >>> batch = ClientBatch.from_multisets([[1.0, 2.0], 5.0])
+        >>> batch.sizes.tolist(), batch.values_for(0).tolist()
+        ([2, 1], [1.0, 2.0])
         """
-        devices = list(devices)
-        if not devices:
-            raise ConfigurationError("need at least one client")
-        value_arrays = [np.asarray(d.values, dtype=np.float64).reshape(-1) for d in devices]
-        sizes = np.fromiter(map(len, value_arrays), dtype=np.int64, count=len(devices))
+        arrays = [np.asarray(v, dtype=np.float64).reshape(-1) for v in values]
+        sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
         if not sizes.all():
             raise ConfigurationError(
                 f"client at position {int(np.argmin(sizes))} has no local values"
             )
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        ids = np.fromiter(
-            (getattr(d, "client_id", i) for i, d in enumerate(devices)),
-            dtype=np.int64,
-            count=len(devices),
-        )
-        raw_attributes = [getattr(d, "attributes", None) or {} for d in devices]
-        keys = dict.fromkeys(key for attrs in raw_attributes for key in attrs)
-        columns = {
-            key: np.array([attrs.get(key) for attrs in raw_attributes], dtype=object)
-            for key in keys
-        }
-        return cls(np.concatenate(value_arrays), offsets, ids, columns)
+        flat = np.concatenate(arrays) if arrays else np.empty(0)
+        return cls(flat, offsets, client_ids, dict(attributes or {}))
 
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "ClientBatch":
@@ -330,9 +319,6 @@ def elicit_values(
         return np.maximum.reduceat(batch.values, batch.offsets[:-1])
     if strategy == "latest":
         return batch.values[batch.offsets[1:] - 1]
-    # Defer to the scalar elicitation module for the canonical error message.
-    from repro.federated.multivalue import ELICITATION_STRATEGIES
-
     raise ConfigurationError(
         f"unknown elicitation strategy {strategy!r}; expected one of {ELICITATION_STRATEGIES}"
     )

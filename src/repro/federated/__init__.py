@@ -3,7 +3,7 @@ and the secure-aggregation protocol (paper Sections 3.3 and 4.3)."""
 
 from repro.core.client_plane import ClientBatch
 from repro.federated.campaign import CampaignRecord, MonitoringCampaign
-from repro.federated.client import BitReport, ClientDevice
+from repro.federated.client import BitReport
 from repro.federated.cohort import CohortSelector, attribute_equals
 from repro.federated.multifeature import MultiFeatureQuery
 from repro.federated.dropout import MAX_EFFECTIVE_RATE, DropoutModel, DropoutRateTracker
@@ -60,7 +60,6 @@ __all__ = [
     "BitReport",
     "CampaignRecord",
     "ClientBatch",
-    "ClientDevice",
     "ClientFleet",
     "ClientTelemetry",
     "CohortSelector",

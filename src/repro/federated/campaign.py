@@ -11,13 +11,13 @@ operator dashboard would chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
+from repro.core.client_plane import ClientBatch
 from repro.core.monitor import HighBitMonitor, MonitorAlert
 from repro.core.results import MeanEstimate
-from repro.federated.client import ClientDevice
 from repro.federated.server import FederatedMeanQuery
 from repro.rng import ensure_rng
 
@@ -68,8 +68,7 @@ class MonitoringCampaign:
     >>> campaign = MonitoringCampaign(query)
     >>> for day in range(4):
     ...     scale = 100.0 if day < 3 else 1500.0
-    ...     pop = [ClientDevice(i, [v]) for i, v in
-    ...            enumerate(np.clip(rng.normal(scale, 20, 2000), 0, None))]
+    ...     pop = ClientBatch.from_values(np.clip(rng.normal(scale, 20, 2000), 0, None))
     ...     record = campaign.run_round(pop, rng)
     >>> record.alert is not None
     True
@@ -95,7 +94,7 @@ class MonitoringCampaign:
     # ------------------------------------------------------------------
     def run_round(
         self,
-        population: Sequence[ClientDevice],
+        population: ClientBatch,
         rng: np.random.Generator | int | None = None,
         **query_kwargs: Any,
     ) -> CampaignRecord:

@@ -1,24 +1,18 @@
-"""Client-side device model for the federated simulator.
+"""The one-bit client message of the federated simulator.
 
-A :class:`ClientDevice` owns one or more private values per metric (the
-paper's deployment observes "most clients hold several values ... while a
-small subset may hold up to millions", Section 4.3) plus the attributes
-cohort predicates match on.  The simulator's client half of the protocol
--- elicit one value, extract the assigned bit, perturb it -- runs columnar
-in :mod:`repro.core.client_plane`.  :class:`BitReport` is the one-bit
-message the wire protocol, the fleet and streaming aggregation carry.
+Client state lives columnar in a :class:`~repro.core.client_plane.ClientBatch`
+(each client's multiset of observations, its id and its attributes), and
+the client half of the protocol -- elicit one value, extract the assigned
+bit, perturb it -- runs as chunked kernels in :mod:`repro.core.client_plane`.
+:class:`BitReport` is the one-bit message the wire protocol, the fleet and
+streaming aggregation carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.exceptions import ConfigurationError
-
-__all__ = ["ClientDevice", "BitReport"]
+__all__ = ["BitReport"]
 
 
 @dataclass(frozen=True)
@@ -32,33 +26,3 @@ class BitReport:
     client_id: int
     bit_index: int
     bit: int
-
-
-@dataclass
-class ClientDevice:
-    """One edge device participating in federated aggregation.
-
-    Parameters
-    ----------
-    client_id:
-        Stable integer identity.
-    values:
-        The device's local observations for the queried metric (>= 1).
-    attributes:
-        Free-form eligibility attributes (region, OS version, ...), matched
-        by cohort predicates.
-    """
-
-    client_id: int
-    values: np.ndarray
-    attributes: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if values.size == 0:
-            raise ConfigurationError(f"client {self.client_id} has no local values")
-        self.values = values
-
-    @property
-    def n_values(self) -> int:
-        return int(self.values.size)

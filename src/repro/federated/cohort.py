@@ -1,81 +1,56 @@
 """Cohort selection: eligibility filtering and minimum-size enforcement.
 
 Selective queries ("restricting eligibility to clients in a particular
-geography", Section 4.3) filter the device population by attribute
-predicates, and privacy policy requires "a minimum cohort size": a query
-whose eligible population is too small must not run.
-:class:`CohortSelector` implements both, plus uniform sub-sampling when a
-target cohort size is requested.
+geography", Section 4.3) filter the population by attribute predicates,
+and privacy policy requires "a minimum cohort size": a query whose
+eligible population is too small must not run.  :class:`CohortSelector`
+implements both, plus uniform sub-sampling when a target cohort size is
+requested.
 
 Selection is index-based: :meth:`CohortSelector.select_indices` draws
-*positions* into the population, so a million-client draw touches only the
-chosen rows -- no eligible-list copy when no predicate is set, and O(cohort)
-instead of O(population) materialization when subsampling.  It works
-uniformly over object populations (``Sequence[ClientDevice]``) and columnar
-ones (:class:`~repro.core.client_plane.ClientBatch`); for the latter,
-predicates built by :func:`attribute_equals` evaluate as a single vectorized
-mask over the attribute column.
+*positions* into a :class:`~repro.core.client_plane.ClientBatch`, so a
+million-client draw touches only the chosen rows -- no eligible-list copy
+when no predicate is set, and O(cohort) instead of O(population)
+materialization when subsampling.  Eligibility is a callable that takes
+the batch and returns a boolean mask over its clients;
+:func:`attribute_equals` builds one over an attribute column.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
 from repro.core.client_plane import ClientBatch
 from repro.exceptions import CohortTooSmallError, ConfigurationError
-from repro.federated.client import ClientDevice
 from repro.rng import ensure_rng
 
 __all__ = ["CohortSelector", "attribute_equals"]
 
-#: Eligibility predicate signature.
-Eligibility = Callable[[ClientDevice], bool]
-
-#: Populations a cohort can be drawn from.
-Population = Union[Sequence[ClientDevice], ClientBatch]
+#: Eligibility: the batch in, one boolean per client out.
+Eligibility = Callable[[ClientBatch], np.ndarray]
 
 
-class _AttributeEquals:
-    """Equality predicate usable on both device objects and columnar batches.
+def attribute_equals(key: str, value: object) -> Eligibility:
+    """Eligibility mask: clients whose attribute column ``key`` equals ``value``.
 
-    Callable per device (``client.attributes[key] == value``) and
-    vectorizable per batch via :meth:`mask`.  Missing attributes make a
-    client ineligible rather than erroring -- a fleet always contains
-    devices that never reported the attribute.
+    A batch without that column makes every client ineligible rather than
+    erroring -- a fleet always contains devices that never reported the
+    attribute.
     """
 
-    def __init__(self, key: str, value: object) -> None:
-        self.key = key
-        self.value = value
-
-    def __call__(self, client: ClientDevice) -> bool:
-        return client.attributes.get(self.key) == self.value
-
-    def mask(self, batch: ClientBatch) -> np.ndarray:
-        """Boolean eligibility column for every client in the batch."""
-        column = batch.attributes.get(self.key)
+    def mask(batch: ClientBatch) -> np.ndarray:
+        column = batch.attributes.get(key)
         if column is None:
             return np.zeros(len(batch), dtype=bool)
-        return np.asarray(column == self.value, dtype=bool)
+        return np.asarray(column == value, dtype=bool)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"attribute_equals({self.key!r}, {self.value!r})"
-
-
-def attribute_equals(key: str, value: object) -> _AttributeEquals:
-    """Predicate factory: ``client.attributes[key] == value``.
-
-    The returned predicate is callable on a single :class:`ClientDevice`
-    *and* exposes ``mask(batch)`` for vectorized evaluation over a
-    :class:`~repro.core.client_plane.ClientBatch` attribute column.
-    """
-    return _AttributeEquals(key, value)
+    return mask
 
 
 class CohortSelector:
-    """Select a query cohort from the device population.
+    """Select a query cohort from the client population.
 
     Parameters
     ----------
@@ -85,11 +60,12 @@ class CohortSelector:
 
     Examples
     --------
-    >>> pop = [ClientDevice(i, [float(i)], {"geo": "us" if i % 2 else "eu"}) for i in range(10)]
+    >>> pop = ClientBatch.from_values(
+    ...     np.arange(10.0), attributes={"geo": np.array(["eu", "us"] * 5)}
+    ... )
     >>> selector = CohortSelector(min_cohort_size=3)
-    >>> cohort = selector.select(pop, eligibility=attribute_equals("geo", "us"))
-    >>> len(cohort)
-    5
+    >>> selector.select_indices(pop, attribute_equals("geo", "us")).tolist()
+    [1, 3, 5, 7, 9]
     """
 
     def __init__(self, min_cohort_size: int = 1) -> None:
@@ -99,38 +75,33 @@ class CohortSelector:
 
     def select_indices(
         self,
-        population: Population,
+        population: ClientBatch,
         eligibility: Eligibility | None = None,
         cohort_size: int | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> np.ndarray:
         """Draw cohort *positions* into ``population`` (int64 array).
 
-        Consumes randomness exactly as the historical object-returning
-        ``select`` did (one ``gen.choice`` over the eligible count, only
-        when subsampling), so index-based and object-based selection are
-        bit-identical for the same seed.  With no eligibility predicate the
-        eligible set is the whole population and no per-client pass or copy
-        happens at all.
+        Filters by eligibility, enforces the minimum, and -- only when
+        subsampling -- draws one ``gen.choice`` over the eligible count.
+        With no eligibility the eligible set is the whole population and no
+        per-client pass or copy happens at all.  Raises
+        :class:`ConfigurationError` unless ``eligibility`` returns a boolean
+        array with one entry per client, and :class:`CohortTooSmallError` if
+        either the eligible population or the requested cohort would
+        violate the minimum size.
         """
         n_population = len(population)
         eligible_idx: np.ndarray | None = None  # None == all of population
         n_eligible = n_population
         if eligibility is not None:
-            if isinstance(population, ClientBatch):
-                mask = getattr(eligibility, "mask", None)
-                if mask is None:
-                    raise ConfigurationError(
-                        "eligibility predicates over a columnar ClientBatch must "
-                        "expose a vectorized .mask(batch) (see attribute_equals); "
-                        "got a plain per-device callable"
-                    )
-                eligible_idx = np.flatnonzero(np.asarray(mask(population), dtype=bool))
-            else:
-                eligible_idx = np.fromiter(
-                    (i for i, client in enumerate(population) if eligibility(client)),
-                    dtype=np.int64,
+            mask = np.asarray(eligibility(population))
+            if mask.dtype != np.bool_ or mask.shape != (n_population,):
+                raise ConfigurationError(
+                    f"eligibility must return a boolean mask of shape ({n_population},), "
+                    f"got {mask.dtype} of shape {mask.shape}"
                 )
+            eligible_idx = np.flatnonzero(mask)
             n_eligible = int(eligible_idx.size)
         if n_eligible < self.min_cohort_size:
             raise CohortTooSmallError(
@@ -151,26 +122,3 @@ class CohortSelector:
         if eligible_idx is None:
             return np.asarray(picked, dtype=np.int64)
         return eligible_idx[picked]
-
-    def select(
-        self,
-        population: Population,
-        eligibility: Eligibility | None = None,
-        cohort_size: int | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> Population:
-        """Filter by eligibility, enforce the minimum, optionally subsample.
-
-        Returns the eligible clients (all of them, or a uniform sample of
-        ``cohort_size``) in the same representation as the input: a list for
-        object populations, a :class:`ClientBatch` for columnar ones (the
-        unfiltered full-population case returns the batch itself, copy-free).
-        Raises :class:`CohortTooSmallError` if either the eligible population
-        or the requested cohort would violate the minimum size.
-        """
-        indices = self.select_indices(population, eligibility, cohort_size, rng)
-        if isinstance(population, ClientBatch):
-            if indices.size == len(population) and eligibility is None:
-                return population
-            return population.take(indices)
-        return [population[int(i)] for i in indices]

@@ -11,13 +11,11 @@ across all of them, and raises before any client would exceed its budget.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
+from repro.core.client_plane import ClientBatch
 from repro.core.results import MeanEstimate
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientDevice
 from repro.federated.server import FederatedMeanQuery
 from repro.privacy.accountant import BitMeter
 from repro.rng import ensure_rng
@@ -33,9 +31,7 @@ class MultiFeatureQuery:
     queries:
         ``feature name -> FederatedMeanQuery``.  Each query's
         ``metric_name`` is overridden to the feature name and its meter to
-        the shared one, so the budget is enforced uniformly.  Client values
-        for feature ``f`` are read from ``client.attributes["features"][f]``
-        (an array of one or more local observations).
+        the shared one, so the budget is enforced uniformly.
     features_per_client:
         How many features a single client may serve this campaign.  With
         one bit per feature query, this equals the client's total private
@@ -43,24 +39,20 @@ class MultiFeatureQuery:
 
     Examples
     --------
-    >>> import numpy as np
     >>> from repro.core import FixedPointEncoder
     >>> rng = np.random.default_rng(0)
-    >>> pop = []
-    >>> for i in range(4000):
-    ...     pop.append(ClientDevice(i, [0.0], {"features": {
-    ...         "latency": np.clip(rng.normal(200, 30, 1), 0, None),
-    ...         "memory": np.clip(rng.normal(60, 10, 1), 0, None),
-    ...     }}))
+    >>> populations = {
+    ...     "latency": ClientBatch.from_values(np.clip(rng.normal(200, 30, 4000), 0, None)),
+    ...     "memory": ClientBatch.from_values(np.clip(rng.normal(60, 10, 4000), 0, None)),
+    ... }
     >>> mfq = MultiFeatureQuery({
     ...     "latency": FederatedMeanQuery(FixedPointEncoder.for_integers(9)),
     ...     "memory": FederatedMeanQuery(FixedPointEncoder.for_integers(7)),
     ... })
-    >>> results = mfq.run(pop, rng=1)
+    >>> results = mfq.run(populations, rng=1)
     >>> abs(results["latency"].value - 200) < 10 and abs(results["memory"].value - 60) < 4
     True
     """
-
     def __init__(
         self,
         queries: dict[str, FederatedMeanQuery],
@@ -89,52 +81,40 @@ class MultiFeatureQuery:
     # ------------------------------------------------------------------
     def run(
         self,
-        population: Sequence[ClientDevice],
+        populations: dict[str, ClientBatch],
         rng: np.random.Generator | int | None = None,
     ) -> dict[str, MeanEstimate]:
         """Run every feature query on its share of the population.
 
-        The population is shuffled and dealt round-robin into
+        ``populations`` maps each feature name to the batch of clients that
+        hold data for it; ``client_ids`` identify the same client across
+        features.  The union of ids is shuffled and dealt round-robin into
         ``ceil(n_features / features_per_client)`` disjoint groups; each
         group serves ``features_per_client`` features, so no client ever
-        answers more.  Clients missing a feature's data are skipped for
-        that feature.
+        answers more.  A client absent from a feature's batch is skipped
+        for that feature.
         """
         gen = ensure_rng(rng)
         names = list(self.queries)
         n_groups = -(-len(names) // self.features_per_client)   # ceil division
-        order = gen.permutation(len(population))
-        groups = [
-            [population[i] for i in order[g::n_groups]] for g in range(n_groups)
-        ]
+        for name in names:
+            if name not in populations:
+                raise ConfigurationError(f"no client holds data for feature {name!r}")
+        ids = np.unique(np.concatenate([populations[name].client_ids for name in names]))
+        order = gen.permutation(ids.size)
+        deal = np.empty(ids.size, dtype=np.int64)
+        deal[order] = np.arange(ids.size)   # each id's place in the shuffled deal
 
         results: dict[str, MeanEstimate] = {}
         for feature_idx, name in enumerate(names):
-            group = groups[feature_idx % n_groups]
-            cohort = [
-                self._feature_view(client, name)
-                for client in group
-                if self._has_feature(client, name)
-            ]
-            if not cohort:
+            batch = populations[name]
+            rank = deal[np.searchsorted(ids, batch.client_ids)]
+            mine = np.flatnonzero(rank % n_groups == feature_idx % n_groups)
+            if not mine.size:
                 raise ConfigurationError(f"no client holds data for feature {name!r}")
+            cohort = batch.take(mine[np.argsort(rank[mine])])   # in dealt order
             results[name] = self.queries[name].run(cohort, rng=gen)
         return results
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _has_feature(client: ClientDevice, name: str) -> bool:
-        features = client.attributes.get("features", {})
-        return name in features and np.atleast_1d(features[name]).size > 0
-
-    @staticmethod
-    def _feature_view(client: ClientDevice, name: str) -> ClientDevice:
-        """A per-feature facade keeping the client's identity (for metering)."""
-        return ClientDevice(
-            client.client_id,
-            np.atleast_1d(client.attributes["features"][name]),
-            client.attributes,
-        )
 
     @property
     def total_private_bits(self) -> int:

@@ -6,23 +6,19 @@ eliciting a *single* value per client -- by sampling or by local
 aggregation -- and defining the ground truth consistently with the chosen
 elicitation ("we define the ground truth for data collection via
 sampling").  This module provides both halves: per-client elicitation and
-the matching population ground truth.
+the matching ground truth over a :class:`~repro.core.client_plane.ClientBatch`
+population.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
 import numpy as np
 
-from repro.core.client_plane import ClientBatch
+from repro.core.client_plane import ELICITATION_STRATEGIES, ClientBatch, elicit_values
 from repro.exceptions import ConfigurationError
 from repro.rng import ensure_rng
 
 __all__ = ["ELICITATION_STRATEGIES", "elicit_single_value", "ground_truth_mean"]
-
-#: Supported strategies for reducing a device's multiset to one value.
-ELICITATION_STRATEGIES = ("sample", "mean", "max", "latest")
 
 
 def elicit_single_value(
@@ -54,51 +50,17 @@ def elicit_single_value(
     )
 
 
-def ground_truth_mean(
-    per_client_values: Union[Sequence[np.ndarray], ClientBatch],
-    strategy: str = "sample",
-) -> float:
+def ground_truth_mean(batch: ClientBatch, strategy: str = "sample") -> float:
     """Population mean consistent with the elicitation strategy.
 
     For ``"sample"`` the expected elicited value of a client is its local
     mean, so the ground truth is the mean of per-client local means --
     *not* the mean over all raw observations, which over-weights chatty
     clients (the discrepancy the paper calls out).  For deterministic
-    strategies the ground truth is the mean of the per-client reductions.
-
-    Accepts either a sequence of per-client arrays or a columnar
-    :class:`~repro.core.client_plane.ClientBatch` (reduced with vectorized
-    ``reduceat`` kernels -- last-ulp summation-order differences from the
-    per-array object path are possible for long multisets).
+    strategies the ground truth is the mean of the per-client reductions,
+    computed by the same :func:`~repro.core.client_plane.elicit_values`
+    kernels the round runs.
     """
-    if isinstance(per_client_values, ClientBatch):
-        batch = per_client_values
-        if len(batch) == 0:
-            raise ConfigurationError("need at least one client")
-        if strategy in ("sample", "mean"):
-            reductions = batch.local_means()
-        elif strategy == "max":
-            reductions = (
-                batch.values
-                if batch.uniform
-                else np.maximum.reduceat(batch.values, batch.offsets[:-1])
-            )
-        elif strategy == "latest":
-            reductions = batch.values[batch.offsets[1:] - 1]
-        else:
-            raise ConfigurationError(
-                f"unknown elicitation strategy {strategy!r}; expected one of "
-                f"{ELICITATION_STRATEGIES}"
-            )
-        return float(np.mean(reductions))
-    if not per_client_values:
+    if len(batch) == 0:
         raise ConfigurationError("need at least one client")
-    if strategy == "sample":
-        reductions = [float(np.mean(v)) for v in per_client_values]
-    elif strategy in ("mean", "max", "latest"):
-        reductions = [elicit_single_value(v, strategy) for v in per_client_values]
-    else:
-        raise ConfigurationError(
-            f"unknown elicitation strategy {strategy!r}; expected one of {ELICITATION_STRATEGIES}"
-        )
-    return float(np.mean(reductions))
+    return float(np.mean(elicit_values(batch, "mean" if strategy == "sample" else strategy)))

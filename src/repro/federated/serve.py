@@ -1015,7 +1015,6 @@ def _estimate(
         secure_aggregation=False,
         elicitation="single",
         ldp=config.epsilon is not None,
-        columnar=False,
         **transport,
     )
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.adaptive import AdaptiveBitPushing
 from repro.core.client_plane import (
+    ELICITATION_STRATEGIES,
     ClientBatch,
     collect_client_reports,
     elicit_values,
@@ -31,7 +32,7 @@ from repro.core.protocol import BitPerturbation, bit_means_from_stats
 from repro.core.results import MeanEstimate, RoundSummary
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError, RoundFailedError
-from repro.federated.cohort import CohortSelector, Eligibility, Population
+from repro.federated.cohort import CohortSelector, Eligibility
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
 from repro.federated.faults import FaultSchedule
 from repro.federated.network import NetworkModel
@@ -318,15 +319,8 @@ def round_estimate(
 
 @dataclass(frozen=True)
 class _CohortDraw:
-    """One query's population as one batch; cohorts are positions into it.
+    """One query's population as one batch; cohorts are positions into it."""
 
-    ``population`` is what the caller handed in (eligibility predicates,
-    plain per-device callables included, evaluate on it); ``batch`` is the
-    same clients as a :class:`ClientBatch`, the only population the round
-    engine touches.
-    """
-
-    population: Population
     batch: ClientBatch
     eligibility: Eligibility | None
     selector: CohortSelector
@@ -350,7 +344,7 @@ class _CohortDraw:
         :meth:`CohortSelector.select_indices` does for the same draw.
         """
         free = np.zeros(len(self.batch), dtype=bool)
-        free[self.selector.select_indices(self.population, self.eligibility)] = True
+        free[self.selector.select_indices(self.batch, self.eligibility)] = True
         if held is not None:
             free[held] = False
         available = np.flatnonzero(free)
@@ -360,7 +354,7 @@ class _CohortDraw:
 
 
 class FederatedMeanQuery:
-    """A configurable federated mean query over a device population.
+    """A configurable federated mean query over a client population.
 
     Parameters
     ----------
@@ -444,13 +438,9 @@ class FederatedMeanQuery:
         ``REPRO_BATCH_CHUNK`` default).  A pure performance/memory knob --
         results are bit-identical for every value.
 
-    The population handed to :meth:`run` may be a ``Sequence[ClientDevice]``
-    or a columnar :class:`~repro.core.client_plane.ClientBatch`.  The cohort
-    is drawn from it as given (so plain per-device eligibility callables
-    work on object populations), and an object population is converted once
-    with :meth:`~repro.core.client_plane.ClientBatch.from_devices`: past
-    the cohort draw the engine holds only ``ClientBatch`` cohorts, as
-    positions into that one batch.  It elicits, encodes, perturbs, and
+    The population handed to :meth:`run` is one columnar
+    :class:`~repro.core.client_plane.ClientBatch`; every cohort is a set of
+    positions into it.  The engine elicits, encodes, perturbs, and
     aggregates in bounded-memory chunks, never materializing per-client
     objects.  Secure aggregation runs through the hierarchical shard tree
     (:mod:`repro.federated.secure_agg.hierarchy`): equal-size shards run
@@ -489,6 +479,11 @@ class FederatedMeanQuery:
     ) -> None:
         if mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
+        if elicitation not in ELICITATION_STRATEGIES:
+            raise ConfigurationError(
+                f"unknown elicitation strategy {elicitation!r}; expected one of "
+                f"{ELICITATION_STRATEGIES}"
+            )
         if min_reports_per_bit < 0:
             raise ConfigurationError(f"min_reports_per_bit must be >= 0, got {min_reports_per_bit}")
         if shard_size < 2:
@@ -544,21 +539,19 @@ class FederatedMeanQuery:
     # ------------------------------------------------------------------
     def run(
         self,
-        population: Population,
+        population: ClientBatch,
         rng: np.random.Generator | int | None = None,
         eligibility: Eligibility | None = None,
         cohort_size: int | None = None,
     ) -> MeanEstimate:
-        """Execute the query end-to-end and return the mean estimate.
-
-        ``population`` may be a ``Sequence[ClientDevice]`` or a columnar
-        :class:`~repro.core.client_plane.ClientBatch`; see the class
-        docstring for how object populations enter the engine.
-        """
+        """Execute the query end-to-end and return the mean estimate."""
+        if not isinstance(population, ClientBatch):
+            raise ConfigurationError(
+                f"population must be a ClientBatch, got {type(population).__name__}"
+            )
         gen = ensure_rng(rng)
         tracer = get_tracer()
         metrics = get_metrics()
-        columnar = isinstance(population, ClientBatch)
         with tracer.span(
             "federated.query",
             {"mode": self.mode, "secure_aggregation": self.secure_aggregation},
@@ -571,12 +564,7 @@ class FederatedMeanQuery:
                 select_span.set_attribute("cohort_size", n_cohort)
             metrics.gauge("cohort_size").set(n_cohort)
             query_span.set_attribute("cohort_size", n_cohort)
-            draw = _CohortDraw(
-                population,
-                population if columnar else ClientBatch.from_devices(population),
-                eligibility,
-                self.selector,
-            )
+            draw = _CohortDraw(population, eligibility, self.selector)
 
             algorithm = self.algorithm
             if self.mode == "basic":
@@ -615,7 +603,6 @@ class FederatedMeanQuery:
                     secure_aggregation=self.secure_aggregation,
                     elicitation=self.elicitation,
                     ldp=self.perturbation is not None,
-                    columnar=columnar,
                 )
                 reconstruct_span.set_attribute("squashed_bits", list(squashed))
                 reconstruct_span.set_attribute("estimate", estimate.value)

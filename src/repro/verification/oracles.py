@@ -32,7 +32,6 @@ from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import BitPerturbation, theoretical_variance
 from repro.core.sampling import BitSamplingSchedule
 from repro.core.variance import VarianceEstimator
-from repro.federated.client import ClientDevice
 from repro.federated.cohort import attribute_equals
 from repro.federated.dropout import DropoutModel
 from repro.federated.network import NetworkModel
@@ -51,7 +50,7 @@ __all__ = [
     "baseline_unbiasedness_oracle",
     "basic_unbiasedness_oracle",
     "basic_variance_bound_oracle",
-    "columnar_twin_oracle",
+    "chunked_twin_oracle",
     "executor_twin_oracle",
     "federated_core_twin_oracle",
     "rr_debias_oracle",
@@ -410,7 +409,7 @@ def executor_twin_oracle(
     )
 
 
-def columnar_twin_oracle(
+def chunked_twin_oracle(
     seed: int = 0,
     n_clients: int = 600,
     n_bits: int = 8,
@@ -418,32 +417,26 @@ def columnar_twin_oracle(
     perturbation: BitPerturbation | None = None,
     chunk: int = 37,
 ) -> OracleResult:
-    """A columnar federated round is bit-identical to the object-path round.
+    """A chunk-streamed federated round is bit-identical to the whole-batch round.
 
     Runs the same :class:`FederatedMeanQuery` configuration (dropout +
     lossy network + eligibility filter + subsampled cohort) three times
-    from one seed: over ``ClientDevice`` objects, over the equivalent
-    :class:`ClientBatch` with a deliberately awkward chunk size, and over
-    the batch again with ``chunk = 1`` (every chunk boundary exercised).
-    All three estimates, bit-mean vectors, and report counts must be
-    exactly equal -- the PR-2 twin discipline extended to the whole
-    columnar client plane.
+    from one seed over one multi-valued :class:`ClientBatch`: with the
+    default chunk size, with a deliberately awkward one, and with
+    ``chunk = 1`` (every chunk boundary exercised).  All three estimates,
+    bit-mean vectors, and report counts must be exactly equal.
     """
     parent = ensure_rng(seed)
     pop_gen, seed_gen = parent.spawn(2)
     sizes = pop_gen.integers(1, 4, size=n_clients)
-    devices = [
-        ClientDevice(
-            i,
-            pop_gen.integers(0, 2**n_bits, size=int(sizes[i])).astype(np.float64),
-            {"geo": "us" if i % 2 else "eu"},
-        )
-        for i in range(n_clients)
-    ]
-    batch = ClientBatch.from_devices(devices)
+    batch = ClientBatch.from_multisets(
+        [pop_gen.integers(0, 2**n_bits, size=int(size)) for size in sizes],
+        attributes={"geo": np.where(np.arange(n_clients) % 2, "us", "eu")},
+    )
     run_seed = int(seed_gen.integers(0, 2**31))
+    name = f"twin-chunked-vs-whole[{mode},ldp={perturbation is not None}]"
 
-    def run(population, chunk_clients):
+    def run(chunk_clients):
         # Fresh query per run: DropoutRateTracker state must not leak
         # between the twins.
         query = FederatedMeanQuery(
@@ -455,18 +448,15 @@ def columnar_twin_oracle(
             chunk_clients=chunk_clients,
         )
         return query.run(
-            population,
+            batch,
             rng=np.random.default_rng(run_seed),
             eligibility=attribute_equals("geo", "us"),
             cohort_size=max(2, n_clients // 3),
         )
 
-    reference = run(devices, None)
-    results = {
-        f"chunk={chunk}": run(batch, chunk),
-        "chunk=1": run(batch, 1),
-    }
-    for label, result in results.items():
+    reference = run(None)
+    for chunk_clients in (chunk, 1):
+        result = run(chunk_clients)
         identical = (
             result.value == reference.value
             and np.array_equal(result.bit_means, reference.bit_means)
@@ -474,19 +464,19 @@ def columnar_twin_oracle(
         )
         if not identical:
             return OracleResult(
-                name=f"twin-columnar-vs-object[{mode},ldp={perturbation is not None}]",
+                name=name,
                 passed=False,
                 detail=(
-                    f"columnar path ({label}) diverged: "
+                    f"chunk={chunk_clients} diverged from the whole batch: "
                     f"|diff| = {abs(result.value - reference.value):.3e}"
                 ),
                 statistic=abs(result.value - reference.value),
                 n_reps=1,
             )
     return OracleResult(
-        name=f"twin-columnar-vs-object[{mode},ldp={perturbation is not None}]",
+        name=name,
         passed=True,
-        detail=f"bit-identical across object/columnar paths (chunks: {chunk}, 1)",
+        detail=f"bit-identical across chunk sizes (default, {chunk}, 1)",
         statistic=0.0,
         n_reps=1,
     )

@@ -220,8 +220,8 @@ def _oracle_runs(
         ),
         ("secure-agg/exact-sum", lambda: _oracles.secure_agg_oracle(seed=seed + 7)),
         (
-            "twin/columnar-vs-object",
-            lambda: _oracles.columnar_twin_oracle(seed=seed + 18),
+            "twin/chunked-vs-whole",
+            lambda: _oracles.chunked_twin_oracle(seed=seed + 18),
         ),
         (
             "variance-estimator/centered",
@@ -285,12 +285,12 @@ def _oracle_runs(
                 ),
             ),
             (
-                "twin/columnar-vs-object/basic",
-                lambda: _oracles.columnar_twin_oracle(seed=seed + 30, mode="basic"),
+                "twin/chunked-vs-whole/basic",
+                lambda: _oracles.chunked_twin_oracle(seed=seed + 30, mode="basic"),
             ),
             (
-                "twin/columnar-vs-object/ldp",
-                lambda: _oracles.columnar_twin_oracle(seed=seed + 31, perturbation=rr),
+                "twin/chunked-vs-whole/ldp",
+                lambda: _oracles.chunked_twin_oracle(seed=seed + 31, perturbation=rr),
             ),
         ]
         for offset, baseline in enumerate(

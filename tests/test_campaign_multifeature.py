@@ -6,7 +6,7 @@ import pytest
 from repro.core import FixedPointEncoder
 from repro.exceptions import ConfigurationError
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     DropoutModel,
     FederatedMeanQuery,
     MonitoringCampaign,
@@ -15,10 +15,7 @@ from repro.federated import (
 
 
 def _population(rng, n=2_000, scale=100.0):
-    return [
-        ClientDevice(i, [v])
-        for i, v in enumerate(np.clip(rng.normal(scale, 20, n), 0, None))
-    ]
+    return ClientBatch.from_values(np.clip(rng.normal(scale, 20, n), 0, None))
 
 
 class TestMonitoringCampaign:
@@ -74,14 +71,12 @@ class TestMonitoringCampaign:
 
 class TestMultiFeatureQuery:
     def _feature_population(self, rng, n=6_000):
-        population = []
-        for i in range(n):
-            population.append(ClientDevice(i, [0.0], {"features": {
-                "latency": np.clip(rng.normal(200, 30, 1), 0, None),
-                "memory": np.clip(rng.normal(60, 10, 1), 0, None),
-                "battery": np.clip(rng.normal(80, 5, 1), 0, None),
-            }}))
-        return population
+        """One batch per feature; client ``i`` has id ``i`` in every batch."""
+        draws = np.clip(rng.normal([200, 60, 80], [30, 10, 5], size=(n, 3)), 0, None)
+        return {
+            name: ClientBatch.from_values(draws[:, k])
+            for k, name in enumerate(("latency", "memory", "battery"))
+        }
 
     def _queries(self):
         return {
@@ -100,41 +95,49 @@ class TestMultiFeatureQuery:
 
     def test_budget_enforced_one_feature_per_client(self):
         rng = np.random.default_rng(5)
-        population = self._feature_population(rng)
+        populations = self._feature_population(rng)
         mfq = MultiFeatureQuery(self._queries(), features_per_client=1)
-        mfq.run(population, rng)
+        mfq.run(populations, rng)
         # Each client served at most one feature -> at most one bit each.
-        assert mfq.total_private_bits <= len(population)
-        assert all(
-            mfq.meter.bits_disclosed_by(c.client_id) <= 1 for c in population
-        )
+        assert mfq.total_private_bits <= 6_000
+        assert all(mfq.meter.bits_disclosed_by(i) <= 1 for i in range(6_000))
 
     def test_budget_two_features_per_client(self):
         rng = np.random.default_rng(6)
-        population = self._feature_population(rng)
+        populations = self._feature_population(rng)
         mfq = MultiFeatureQuery(self._queries(), features_per_client=2)
-        mfq.run(population, rng)
-        assert all(
-            mfq.meter.bits_disclosed_by(c.client_id) <= 2 for c in population
-        )
+        mfq.run(populations, rng)
+        assert all(mfq.meter.bits_disclosed_by(i) <= 2 for i in range(6_000))
+
+    def test_groups_follow_client_ids_not_positions(self):
+        rng = np.random.default_rng(9)
+        populations = self._feature_population(rng, n=3_000)
+        # Same clients, another row order: identity is the id, not the row.
+        populations["memory"] = populations["memory"].take(np.arange(3_000)[::-1])
+        mfq = MultiFeatureQuery(self._queries(), features_per_client=1)
+        mfq.run(populations, rng)
+        assert all(mfq.meter.bits_disclosed_by(i) <= 1 for i in range(3_000))
 
     def test_missing_feature_clients_skipped(self):
         rng = np.random.default_rng(7)
-        population = self._feature_population(rng, n=3_000)
+        populations = self._feature_population(rng, n=3_000)
         # Strip "memory" from a third of the fleet.
-        for client in population[::3]:
-            del client.attributes["features"]["memory"]
+        keep = np.flatnonzero(np.arange(3_000) % 3 != 0)
+        populations["memory"] = populations["memory"].take(keep)
         mfq = MultiFeatureQuery(self._queries())
-        results = mfq.run(population, rng)
+        results = mfq.run(populations, rng)
         assert results["memory"].value == pytest.approx(60, abs=5)
+        # Only clients that still hold "memory" can have answered it.
+        assert all(
+            mfq.meter.bits_disclosed_for(i, "memory") == 0 for i in range(0, 3_000, 3)
+        )
 
     def test_no_data_for_feature_raises(self):
         rng = np.random.default_rng(8)
-        population = self._feature_population(rng, n=300)
-        for client in population:
-            del client.attributes["features"]["battery"]
-        with pytest.raises(ConfigurationError):
-            MultiFeatureQuery(self._queries()).run(population, rng)
+        populations = self._feature_population(rng, n=300)
+        del populations["battery"]
+        with pytest.raises(ConfigurationError, match="battery"):
+            MultiFeatureQuery(self._queries()).run(populations, rng)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

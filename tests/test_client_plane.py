@@ -3,8 +3,8 @@
 The contract under test (see ``src/repro/core/client_plane.py``): every
 columnar kernel consumes randomness exactly as the per-client scalar
 reference (``elicit_single_value`` once per client, in order), for *any*
-chunk size -- including chunk = 1 and chunk > n -- so object and columnar
-populations produce bit-identical estimates for the same seed.
+chunk size -- including chunk = 1 and chunk > n -- so chunked and
+whole-batch rounds produce bit-identical estimates for the same seed.
 """
 
 import numpy as np
@@ -33,7 +33,6 @@ from repro.core.client_plane import DEFAULT_CHUNK_CLIENTS
 from repro.core.protocol import collect_bit_reports
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.federated import (
-    ClientDevice,
     CohortSelector,
     DropoutModel,
     FederatedMeanQuery,
@@ -46,29 +45,31 @@ from repro.privacy import BitMeter, RandomizedResponse
 CHUNKS = (1, 3, 7, 50, 200, 100_000)  # includes chunk = 1 and chunk > n
 
 
-def scalar_elicit(devices, strategy, gen=None):
+def scalar_elicit(multisets, strategy, gen=None):
     """The reference: one scalar elicitation per client, in order."""
-    return np.array([elicit_single_value(d.values, strategy, gen) for d in devices])
+    return np.array([elicit_single_value(v, strategy, gen) for v in multisets])
 
 
-def make_devices(n=120, seed=5, multi=True):
+def make_multisets(n=120, seed=5):
     rng = np.random.default_rng(seed)
-    devices = []
-    for i in range(n):
-        k = int(rng.integers(1, 4)) if multi else 1
-        values = np.clip(rng.normal(600.0, 100.0, k), 0.0, None)
-        devices.append(ClientDevice(i, values, {"geo": "us" if i % 2 else "eu"}))
-    return devices
+    return [
+        np.clip(rng.normal(600.0, 100.0, int(rng.integers(1, 4))), 0.0, None)
+        for _ in range(n)
+    ]
+
+
+#: Client i's geography; the batch fixture carries it as its "geo" column.
+GEO = np.where(np.arange(120) % 2, "us", "eu")
 
 
 @pytest.fixture(scope="module")
-def devices():
-    return make_devices()
+def multisets():
+    return make_multisets()
 
 
 @pytest.fixture(scope="module")
-def batch(devices):
-    return ClientBatch.from_devices(devices)
+def batch(multisets):
+    return ClientBatch.from_multisets(multisets, attributes={"geo": GEO})
 
 
 # ----------------------------------------------------------------------
@@ -106,13 +107,13 @@ class TestBatchChunkSize:
 
 
 class TestClientBatch:
-    def test_from_devices_round_trip(self, devices, batch):
-        assert len(batch) == len(devices)
-        assert batch.n_clients == len(devices)
-        for i, device in enumerate(devices):
-            np.testing.assert_array_equal(batch.values_for(i), device.values)
-            assert batch.client_ids[i] == device.client_id
-            assert batch.attributes["geo"][i] == device.attributes["geo"]
+    def test_from_multisets_round_trip(self, multisets, batch):
+        assert len(batch) == len(multisets)
+        assert batch.n_clients == len(multisets)
+        for i, values in enumerate(multisets):
+            np.testing.assert_array_equal(batch.values_for(i), values)
+            assert batch.client_ids[i] == i
+            assert batch.attributes["geo"][i] == GEO[i]
 
     def test_from_values_uniform(self):
         b = ClientBatch.from_values([3.0, 5.0, 7.0])
@@ -120,18 +121,18 @@ class TestClientBatch:
         assert b.sizes.tolist() == [1, 1, 1]
         np.testing.assert_array_equal(b.client_ids, [0, 1, 2])
 
-    def test_local_means(self, devices, batch):
-        expected = np.array([d.values.mean() for d in devices])
+    def test_local_means(self, multisets, batch):
+        expected = np.array([v.mean() for v in multisets])
         np.testing.assert_allclose(batch.local_means(), expected, rtol=1e-15)
 
-    def test_take_ragged(self, devices, batch):
+    def test_take_ragged(self, multisets, batch):
         idx = np.array([17, 3, 3, 119, 0])
         sub = batch.take(idx)
         assert len(sub) == idx.size
         for pos, i in enumerate(idx):
-            np.testing.assert_array_equal(sub.values_for(pos), devices[i].values)
-            assert sub.client_ids[pos] == devices[i].client_id
-            assert sub.attributes["geo"][pos] == devices[i].attributes["geo"]
+            np.testing.assert_array_equal(sub.values_for(pos), multisets[i])
+            assert sub.client_ids[pos] == i
+            assert sub.attributes["geo"][pos] == GEO[i]
 
     def test_take_uniform_fast_path(self):
         b = ClientBatch.from_values(np.arange(10.0), attributes={"k": np.arange(10)})
@@ -156,7 +157,7 @@ class TestClientBatch:
                 np.array([1.0]), np.array([0, 1]), attributes={"geo": np.array([1, 2])}
             )
         with pytest.raises(ConfigurationError, match="no local values"):
-            ClientBatch.from_devices([ClientDevice(0, np.empty(0))])
+            ClientBatch.from_multisets([np.empty(0)])
 
 
 # ----------------------------------------------------------------------
@@ -167,29 +168,31 @@ class TestClientBatch:
 class TestElicitValues:
     @pytest.mark.parametrize("strategy", ["sample", "max", "latest"])
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_exact_twin(self, devices, batch, strategy, chunk):
+    def test_exact_twin(self, multisets, batch, strategy, chunk):
         gen_loop = np.random.default_rng(11)
         gen_batch = np.random.default_rng(11)
-        reference = scalar_elicit(devices, strategy, gen_loop)
+        reference = scalar_elicit(multisets, strategy, gen_loop)
         columnar = elicit_values(batch, strategy, gen_batch, chunk=chunk)
         np.testing.assert_array_equal(columnar, reference)
         # The columnar kernel must consume the stream exactly as the loop did.
         assert gen_batch.bit_generator.state == gen_loop.bit_generator.state
 
-    def test_mean_twin_allclose(self, devices, batch):
+    def test_mean_twin_allclose(self, multisets, batch):
         # "mean" is the documented ulp exception: reduceat (sequential) vs
         # ndarray.mean (pairwise) summation order.
-        reference = scalar_elicit(devices, "mean")
+        reference = scalar_elicit(multisets, "mean")
         np.testing.assert_allclose(elicit_values(batch, "mean"), reference, rtol=1e-15)
 
     def test_unknown_strategy(self, batch):
         with pytest.raises(ConfigurationError, match="unknown elicitation"):
             elicit_values(batch, "median")
 
-    def test_ground_truth_twin(self, devices, batch):
+    def test_ground_truth_twin(self, multisets, batch):
+        # "sample" has the same ground truth as "mean": each client's local mean.
         for strategy in ("sample", "mean", "max", "latest"):
+            scalar = "mean" if strategy == "sample" else strategy
             assert ground_truth_mean(batch, strategy) == pytest.approx(
-                ground_truth_mean([d.values for d in devices], strategy), rel=1e-14
+                np.mean(scalar_elicit(multisets, scalar)), rel=1e-14
             )
 
 
@@ -285,12 +288,12 @@ class TestEstimatorTwins:
 
     @pytest.mark.parametrize("mode", ["basic", "adaptive"])
     @pytest.mark.parametrize("chunk", [1, 37, None])
-    def test_estimate_clients_twin(self, devices, batch, mode, chunk):
+    def test_estimate_clients_twin(self, multisets, batch, mode, chunk):
         cls = BasicBitPushing if mode == "basic" else AdaptiveBitPushing
         encoder = FixedPointEncoder.for_integers(10)
 
         gen = np.random.default_rng(17)
-        reference = cls(encoder).estimate(scalar_elicit(devices, "sample", gen), gen)
+        reference = cls(encoder).estimate(scalar_elicit(multisets, "sample", gen), gen)
         gen = np.random.default_rng(17)
         columnar = cls(encoder).estimate(elicit_values(batch, "sample", gen, chunk), gen)
         assert columnar.value == reference.value
@@ -309,9 +312,9 @@ class TestEstimatorTwins:
         ids=["duchi", "piecewise", "hybrid", "laplace", "dithering", "rounding"],
     )
     @pytest.mark.parametrize("chunk", [1, 37])
-    def test_baseline_estimate_clients_twin(self, devices, batch, factory, chunk):
+    def test_baseline_estimate_clients_twin(self, multisets, batch, factory, chunk):
         gen = np.random.default_rng(23)
-        reference = factory().estimate(scalar_elicit(devices, "sample", gen), gen)
+        reference = factory().estimate(scalar_elicit(multisets, "sample", gen), gen)
         gen = np.random.default_rng(23)
         columnar = factory().estimate(elicit_values(batch, "sample", gen, chunk), gen)
         assert columnar.value == reference.value
@@ -320,7 +323,7 @@ class TestEstimatorTwins:
 
 
 # ----------------------------------------------------------------------
-# Federated server twins: run(devices) == run(batch), chunk-invariant
+# Federated server twins: chunked rounds == the whole-batch round
 # ----------------------------------------------------------------------
 
 
@@ -348,19 +351,19 @@ class TestFederatedTwins:
 
     @pytest.mark.parametrize("mode", ["basic", "adaptive"])
     @pytest.mark.parametrize("ldp", [False, True])
-    def test_run_twin(self, devices, batch, mode, ldp):
+    def test_run_twin(self, batch, mode, ldp):
         # Multi-valued, non-integer clients: every elicitation strategy,
-        # "mean" included, is exact once objects convert at the boundary.
+        # "mean" included, is chunk-invariant.
         def recorded(meter):
-            return [d.client_id for d in devices if meter.bits_disclosed_by(d.client_id)]
+            return [i for i in batch.client_ids.tolist() if meter.bits_disclosed_by(i)]
 
         for elicitation in ("sample", "max", "latest", "mean"):
             ref_meter = BitMeter(max_bits_per_value=1)
             reference = self.run_query(
-                devices, mode, ldp, None, elicitation=elicitation, meter=ref_meter
+                batch, mode, ldp, None, elicitation=elicitation, meter=ref_meter
             )
             assert recorded(ref_meter)
-            for chunk in (None, 1, 13):
+            for chunk in (1, 13):
                 meter = BitMeter(max_bits_per_value=1)
                 columnar = self.run_query(
                     batch, mode, ldp, chunk, elicitation=elicitation, meter=meter
@@ -371,46 +374,47 @@ class TestFederatedTwins:
                     np.testing.assert_array_equal(col_round.counts, ref_round.counts)
                 assert recorded(meter) == recorded(ref_meter)
 
-    def test_metadata_flags_columnar(self, devices, batch):
-        assert self.run_query(batch, "basic", False, None).metadata["columnar"] is True
-        assert self.run_query(devices, "basic", False, None).metadata["columnar"] is False
-
     def test_chunk_clients_validated(self):
         with pytest.raises(ConfigurationError, match="chunk"):
             FederatedMeanQuery(FixedPointEncoder.for_integers(8), chunk_clients=0)
 
 
 # ----------------------------------------------------------------------
-# Cohort selection twins
+# Cohort selection
 # ----------------------------------------------------------------------
 
 
 class TestCohortSelection:
-    def test_select_indices_stream_identical(self, devices, batch):
+    def test_select_indices_stream_identical(self, batch):
+        # One gen.choice over the eligible count, and nothing else drawn.
         selector = CohortSelector(min_cohort_size=2)
-        obj = selector.select_indices(
-            devices, attribute_equals("geo", "us"), cohort_size=20, rng=9
-        )
-        col = selector.select_indices(
-            batch, attribute_equals("geo", "us"), cohort_size=20, rng=9
-        )
-        np.testing.assert_array_equal(obj, col)
+        gen = np.random.default_rng(9)
+        got = selector.select_indices(batch, attribute_equals("geo", "us"), 20, gen)
+        ref_gen = np.random.default_rng(9)
+        eligible = np.flatnonzero(GEO == "us")
+        expected = eligible[ref_gen.choice(eligible.size, size=20, replace=False)]
+        np.testing.assert_array_equal(got, expected)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_full_population_no_copy(self, batch):
-        selector = CohortSelector(min_cohort_size=2)
-        # No predicate, no subsampling: the batch itself comes back.
-        assert selector.select(batch, rng=0) is batch
+        from repro.federated.server import _CohortDraw
 
-    def test_mask_eligibility(self, devices, batch):
-        cohort = CohortSelector(min_cohort_size=2).select(
+        selector = CohortSelector(min_cohort_size=2)
+        # No predicate, no subsampling: every position, and the cohort is
+        # the batch itself.
+        positions = selector.select_indices(batch, rng=0)
+        np.testing.assert_array_equal(positions, np.arange(len(batch)))
+        assert _CohortDraw(batch, None, selector).clients(positions) is batch
+
+    def test_mask_eligibility(self, batch):
+        positions = CohortSelector(min_cohort_size=2).select_indices(
             batch, attribute_equals("geo", "eu"), rng=0
         )
-        expected = [d.client_id for d in devices if d.attributes["geo"] == "eu"]
-        assert cohort.client_ids.tolist() == expected
+        assert batch.client_ids[positions].tolist() == np.flatnonzero(GEO == "eu").tolist()
 
     def test_plain_callable_on_batch_rejected(self, batch):
         with pytest.raises(ConfigurationError, match="mask"):
-            CohortSelector(min_cohort_size=2).select(batch, lambda c: True, rng=0)
+            CohortSelector(min_cohort_size=2).select_indices(batch, lambda c: True, rng=0)
 
 
 # ----------------------------------------------------------------------

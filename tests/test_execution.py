@@ -8,7 +8,6 @@ that protect the contract.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.core import (
 )
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.experiments import figure_1a, render_series_table
-from repro.federated import ClientDevice
 from repro.federated.multivalue import elicit_single_value
 from repro.metrics.execution import (
     CellTask,
@@ -247,7 +245,7 @@ class TestElicitBatch:
         looped = np.array(
             [elicit_single_value(v, strategy, gen_loop) for v in value_sets]
         )
-        batch = ClientBatch.from_devices(ClientDevice(i, v) for i, v in enumerate(value_sets))
+        batch = ClientBatch.from_multisets(value_sets)
         batched = elicit_values(batch, strategy, gen_batch, chunk=7)
         if strategy == "mean":
             # The documented ulp exception: reduceat vs pairwise summation.
@@ -259,9 +257,7 @@ class TestElicitBatch:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigurationError):
-            ClientBatch.from_devices(
-                [SimpleNamespace(values=np.array([1.0])), SimpleNamespace(values=np.array([]))]
-            )
+            ClientBatch.from_multisets([np.array([1.0]), np.array([])])
 
 
 class TestBitMeterBatch:

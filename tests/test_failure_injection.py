@@ -23,7 +23,7 @@ from repro.exceptions import (
 )
 from repro.federated import (
     BitReport,
-    ClientDevice,
+    ClientBatch,
     FaultSchedule,
     FederatedMeanQuery,
     NetworkModel,
@@ -132,10 +132,7 @@ class TestSecureAggregationFailures:
 class TestFederatedQueryFailureModes:
     def _population(self, n=300):
         rng = np.random.default_rng(0)
-        return [
-            ClientDevice(i, [v])
-            for i, v in enumerate(np.clip(rng.normal(100, 20, n), 0, None))
-        ]
+        return ClientBatch.from_values(np.clip(rng.normal(100, 20, n), 0, None))
 
     def test_total_network_blackout_raises(self, encoder8):
         query = FederatedMeanQuery(

@@ -15,7 +15,7 @@ from repro.core import FixedPointEncoder
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import (
     MAX_EFFECTIVE_RATE,
-    ClientDevice,
+    ClientBatch,
     DropoutModel,
     FaultEvent,
     FaultSchedule,
@@ -36,10 +36,7 @@ from repro.observability import (
 
 def make_population(n=400, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        ClientDevice(i, [v])
-        for i, v in enumerate(np.clip(rng.normal(100, 20, n), 0, None))
-    ]
+    return ClientBatch.from_values(np.clip(rng.normal(100, 20, n), 0, None))
 
 
 class TestFaultEvent:

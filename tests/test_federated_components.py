@@ -1,4 +1,4 @@
-"""Federated substrate components: clients, multivalue, dropout, network, cohorts."""
+"""Federated substrate components: populations, multivalue, dropout, network, cohorts."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core import ClientBatch
 from repro.exceptions import CohortTooSmallError, ConfigurationError
 from repro.federated import (
     ELICITATION_STRATEGIES,
-    ClientDevice,
     CohortSelector,
     DropoutModel,
     DropoutRateTracker,
@@ -18,25 +17,26 @@ from repro.federated import (
 )
 
 
-class TestClientDevice:
+class TestFromMultisets:
     def test_scalar_value_promoted(self):
-        client = ClientDevice(1, 5.0)
-        assert client.n_values == 1
-        assert client.values.tolist() == [5.0]
+        batch = ClientBatch.from_multisets([5.0, [1.0, 2.0]], client_ids=[7, 9])
+        assert batch.sizes.tolist() == [1, 2]
+        assert batch.values_for(0).tolist() == [5.0]
+        assert batch.client_ids.tolist() == [7, 9]
 
     def test_empty_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ClientDevice(1, np.array([]))
+        with pytest.raises(ConfigurationError, match="position 1 has no local values"):
+            ClientBatch.from_multisets([[1.0], np.array([])])
 
+
+class TestMultivalue:
     def test_elicit_strategies(self, rng):
-        values = ClientDevice(1, [1.0, 2.0, 9.0]).values
+        values = np.array([1.0, 2.0, 9.0])
         assert elicit_single_value(values, "mean", rng) == pytest.approx(4.0)
         assert elicit_single_value(values, "max", rng) == 9.0
         assert elicit_single_value(values, "latest", rng) == 9.0
         assert elicit_single_value(values, "sample", rng) in {1.0, 2.0, 9.0}
 
-
-class TestMultivalue:
     def test_elicit_mean(self):
         assert elicit_single_value([2.0, 4.0], "mean") == 3.0
 
@@ -56,17 +56,23 @@ class TestMultivalue:
 
     def test_ground_truth_sample_weights_clients_equally(self):
         """One chatty client must not dominate the sampling ground truth."""
-        per_client = [np.array([0.0]), np.array([10.0] * 1_000)]
+        per_client = ClientBatch.from_multisets([[0.0], [10.0] * 1_000])
         assert ground_truth_mean(per_client, "sample") == pytest.approx(5.0)
 
     def test_ground_truth_max(self):
-        per_client = [np.array([1.0, 5.0]), np.array([2.0])]
+        per_client = ClientBatch.from_multisets([[1.0, 5.0], [2.0]])
         assert ground_truth_mean(per_client, "max") == pytest.approx(3.5)
+        assert ground_truth_mean(per_client, "latest") == pytest.approx(3.5)
+        with pytest.raises(ConfigurationError, match="unknown elicitation"):
+            ground_truth_mean(per_client, "median")
 
     def test_ground_truth_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ground_truth_mean([], "sample")
-        for empty in (ClientBatch(np.empty(0), [0]), ClientBatch.from_values([])):
+        empties = (
+            ClientBatch(np.empty(0), [0]),
+            ClientBatch.from_values([]),
+            ClientBatch.from_multisets([]),
+        )
+        for empty in empties:
             for strategy in ELICITATION_STRATEGIES:
                 with pytest.raises(ConfigurationError, match="at least one client"):
                     ground_truth_mean(empty, strategy)
@@ -154,47 +160,56 @@ class TestNetwork:
 
 class TestCohortSelector:
     def _population(self, n=100):
-        return [
-            ClientDevice(i, [float(i)], {"geo": "us" if i % 2 else "eu"})
-            for i in range(n)
-        ]
+        return ClientBatch.from_values(
+            np.arange(n, dtype=float), attributes={"geo": np.where(np.arange(n) % 2, "us", "eu")}
+        )
 
     def test_no_filter_returns_everyone(self):
         pop = self._population()
-        assert len(CohortSelector().select(pop)) == 100
+        assert CohortSelector().select_indices(pop).tolist() == list(range(100))
 
     def test_eligibility_filter(self):
         pop = self._population()
-        cohort = CohortSelector().select(pop, eligibility=attribute_equals("geo", "us"))
+        cohort = CohortSelector().select_indices(pop, eligibility=attribute_equals("geo", "us"))
         assert len(cohort) == 50
-        assert all(c.attributes["geo"] == "us" for c in cohort)
+        assert (pop.attributes["geo"][cohort] == "us").all()
 
     def test_missing_attribute_means_ineligible(self):
-        pop = [ClientDevice(0, [1.0])]
+        pop = ClientBatch.from_values([1.0])
         with pytest.raises(CohortTooSmallError):
-            CohortSelector(min_cohort_size=1).select(
+            CohortSelector(min_cohort_size=1).select_indices(
                 pop, eligibility=attribute_equals("geo", "us")
             )
 
     def test_minimum_size_enforced(self):
         pop = self._population(10)
         with pytest.raises(CohortTooSmallError):
-            CohortSelector(min_cohort_size=11).select(pop)
+            CohortSelector(min_cohort_size=11).select_indices(pop)
 
     def test_requested_cohort_below_minimum_rejected(self):
         pop = self._population(100)
         with pytest.raises(CohortTooSmallError):
-            CohortSelector(min_cohort_size=10).select(pop, cohort_size=5)
+            CohortSelector(min_cohort_size=10).select_indices(pop, cohort_size=5)
 
     def test_subsampling(self, rng):
         pop = self._population(100)
-        cohort = CohortSelector().select(pop, cohort_size=30, rng=rng)
+        cohort = CohortSelector().select_indices(pop, cohort_size=30, rng=rng)
         assert len(cohort) == 30
-        assert len({c.client_id for c in cohort}) == 30
+        assert len(set(pop.client_ids[cohort].tolist())) == 30
 
     def test_cohort_size_above_population_returns_all(self, rng):
         pop = self._population(20)
-        assert len(CohortSelector().select(pop, cohort_size=50, rng=rng)) == 20
+        assert len(CohortSelector().select_indices(pop, cohort_size=50, rng=rng)) == 20
+
+    # A scalar result is covered by test_plain_callable_on_batch_rejected.
+    @pytest.mark.parametrize(
+        "mask",
+        [lambda batch: np.ones(3, dtype=bool), lambda batch: np.ones(10)],
+        ids=["short", "float"],
+    )
+    def test_eligibility_mask_validated(self, mask):
+        with pytest.raises(ConfigurationError, match="boolean mask of shape"):
+            CohortSelector().select_indices(self._population(10), eligibility=mask)
 
     def test_invalid_min_size(self):
         with pytest.raises(ConfigurationError):

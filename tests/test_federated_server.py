@@ -6,7 +6,7 @@ import pytest
 from repro.core import FixedPointEncoder
 from repro.exceptions import CohortTooSmallError, ConfigurationError
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     CohortSelector,
     DropoutModel,
     FederatedMeanQuery,
@@ -19,14 +19,12 @@ from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
 
 def make_population(n=3_000, mean=200.0, std=40.0, seed=0, multi=False):
     rng = np.random.default_rng(seed)
-    population = []
-    for i in range(n):
+    values = []
+    for _ in range(n):
         k = int(rng.integers(1, 5)) if multi else 1
-        values = np.clip(rng.normal(mean, std, k), 0, None)
-        population.append(
-            ClientDevice(i, values, {"geo": "us" if i % 2 else "eu"})
-        )
-    return population
+        values.append(np.clip(rng.normal(mean, std, k), 0, None))
+    geo = np.where(np.arange(n) % 2, "us", "eu")
+    return ClientBatch.from_multisets(values, attributes={"geo": geo})
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +40,7 @@ def encoder():
 class TestBasicMode:
     def test_accuracy(self, population, encoder):
         query = FederatedMeanQuery(encoder, mode="basic")
-        truth = ground_truth_mean([c.values for c in population])
+        truth = ground_truth_mean(population)
         est = query.run(population, rng=1)
         assert est.value == pytest.approx(truth, rel=0.05)
         assert est.method == "federated-basic"
@@ -58,7 +56,7 @@ class TestBasicMode:
 class TestAdaptiveMode:
     def test_accuracy(self, population, encoder):
         query = FederatedMeanQuery(encoder, mode="adaptive")
-        truth = ground_truth_mean([c.values for c in population])
+        truth = ground_truth_mean(population)
         assert query.run(population, rng=3).value == pytest.approx(truth, rel=0.05)
 
     def test_two_rounds_recorded(self, population, encoder):
@@ -75,7 +73,7 @@ class TestAdaptiveMode:
 class TestFailures:
     def test_dropout_does_not_break_accuracy(self, population, encoder):
         query = FederatedMeanQuery(encoder, dropout=DropoutModel(0.3))
-        truth = ground_truth_mean([c.values for c in population])
+        truth = ground_truth_mean(population)
         est = query.run(population, rng=6)
         assert est.value == pytest.approx(truth, rel=0.08)
         assert est.metadata["dropout_rates"][0] == pytest.approx(0.3, abs=0.05)
@@ -147,7 +145,7 @@ class TestMetering:
         query.run(population, rng=14)
         assert meter.total_bits <= 400
         assert all(
-            meter.bits_disclosed_for(c.client_id, "latency") <= 1 for c in population
+            meter.bits_disclosed_for(i, "latency") <= 1 for i in population.client_ids
         )
 
     def test_second_query_same_metric_violates_meter(self, encoder):
@@ -166,7 +164,7 @@ class TestSecureAggregationIntegration:
         population = make_population(300)
         plain = FederatedMeanQuery(encoder, mode="basic")
         secure = FederatedMeanQuery(encoder, mode="basic", secure_aggregation=True, shard_size=16)
-        truth = ground_truth_mean([c.values for c in population])
+        truth = ground_truth_mean(population)
         assert plain.run(population, rng=17).value == pytest.approx(truth, rel=0.1)
         assert secure.run(population, rng=17).value == pytest.approx(truth, rel=0.1)
 
@@ -177,7 +175,7 @@ class TestSecureAggregationIntegration:
             perturbation=RandomizedResponse(epsilon=3.0),
             secure_aggregation=True, shard_size=16,
         )
-        truth = ground_truth_mean([c.values for c in population])
+        truth = ground_truth_mean(population)
         assert query.run(population, rng=18).value == pytest.approx(truth, rel=0.35)
 
     def test_counts_conserved_through_shards(self, encoder):
@@ -191,13 +189,13 @@ class TestMultiValueClients:
     def test_sample_elicitation_matches_sampling_ground_truth(self, encoder):
         population = make_population(4_000, multi=True, seed=42)
         query = FederatedMeanQuery(encoder, elicitation="sample")
-        truth = ground_truth_mean([c.values for c in population], "sample")
+        truth = ground_truth_mean(population, "sample")
         assert query.run(population, rng=20).value == pytest.approx(truth, rel=0.05)
 
     def test_mean_elicitation(self, encoder):
         population = make_population(4_000, multi=True, seed=43)
         query = FederatedMeanQuery(encoder, elicitation="mean")
-        truth = ground_truth_mean([c.values for c in population], "mean")
+        truth = ground_truth_mean(population, "mean")
         assert query.run(population, rng=21).value == pytest.approx(truth, rel=0.05)
 
 
@@ -242,4 +240,29 @@ class TestConfigValidation:
 
     def test_empty_population(self, encoder):
         with pytest.raises(CohortTooSmallError):
-            FederatedMeanQuery(encoder).run([], rng=0)
+            FederatedMeanQuery(encoder).run(ClientBatch.from_values([]), rng=0)
+
+    def test_population_must_be_a_client_batch(self, encoder):
+        values = [np.array([1.0]), np.array([2.0])]
+        with pytest.raises(ConfigurationError, match="ClientBatch"):
+            FederatedMeanQuery(encoder).run(values, rng=0)
+
+    def test_unknown_elicitation_rejected_before_any_round(self, encoder):
+        from repro.federated import FaultSchedule
+        from repro.observability import MetricsRegistry, instrumented
+
+        population = make_population(5_000)
+        faults = FaultSchedule.from_spec("1:loss=0.5")
+        registry = MetricsRegistry()
+        query = None
+        with instrumented(metrics=registry):
+            with pytest.raises(ConfigurationError, match="unknown elicitation"):
+                query = FederatedMeanQuery(
+                    encoder, elicitation="median", dropout=DropoutModel(0.1), faults=faults
+                )
+                query.run(population, rng=0)
+        # Construction raised, so no dropout tracker exists to have moved,
+        # no fault clock ticked and no attempt was counted.
+        assert query is None
+        assert faults.attempts_started == 0
+        assert "round_attempts_total" not in registry.snapshot()["counters"]

@@ -14,7 +14,7 @@ from repro import (
 from repro.data.census import population_age_stats, sample_ages
 from repro.data.telemetry import binary_with_outliers
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     CohortSelector,
     DropoutModel,
     FederatedMeanQuery,
@@ -87,14 +87,10 @@ class TestFederatedEndToEnd:
         """Cohort filter + dropout + lossy network + LDP + metering +
         dropout-aware schedule floor, in one query."""
         rng = np.random.default_rng(75)
-        population = [
-            ClientDevice(
-                i,
-                np.clip(rng.normal(150.0, 30.0, rng.integers(1, 4)), 0, None),
-                {"geo": "us" if i % 3 else "eu"},
-            )
-            for i in range(3_000)
-        ]
+        population = ClientBatch.from_multisets(
+            [np.clip(rng.normal(150.0, 30.0, rng.integers(1, 4)), 0, None) for _ in range(3_000)],
+            attributes={"geo": np.where(np.arange(3_000) % 3, "us", "eu")},
+        )
         meter = BitMeter(max_bits_per_value=1)
         query = FederatedMeanQuery(
             FixedPointEncoder.for_integers(8),
@@ -108,8 +104,8 @@ class TestFederatedEndToEnd:
             min_reports_per_bit=10,
             metric_name="latency",
         )
-        us_clients = [c for c in population if c.attributes["geo"] == "us"]
-        truth = ground_truth_mean([c.values for c in us_clients])
+        us_clients = population.take(np.flatnonzero(population.attributes["geo"] == "us"))
+        truth = ground_truth_mean(us_clients)
         est = query.run(population, rng=rng, eligibility=attribute_equals("geo", "us"))
         assert est.value == pytest.approx(truth, rel=0.25)
         assert meter.total_bits <= len(us_clients)
@@ -117,16 +113,14 @@ class TestFederatedEndToEnd:
 
     def test_repeat_queries_on_different_metrics_respect_meter(self):
         rng = np.random.default_rng(76)
-        population = [
-            ClientDevice(i, np.clip(rng.normal(100, 20, 1), 0, None)) for i in range(800)
-        ]
+        population = ClientBatch.from_values(np.clip(rng.normal(100, 20, 800), 0, None))
         meter = BitMeter(max_bits_per_value=1, max_bits_per_client=2)
         encoder = FixedPointEncoder.for_integers(8)
         for metric in ("latency", "memory"):
             FederatedMeanQuery(
                 encoder, mode="basic", meter=meter, metric_name=metric
             ).run(population, rng=rng)
-        assert all(meter.bits_disclosed_by(c.client_id) <= 2 for c in population)
+        assert all(meter.bits_disclosed_by(i) <= 2 for i in population.client_ids)
 
     def test_feature_normalization_scenario(self):
         """Section 3.4 motivation: mean + variance enable feature scaling."""

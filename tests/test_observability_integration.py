@@ -16,7 +16,7 @@ from repro.cli import run_traced_round
 from repro.core import AdaptiveBitPushing
 from repro.exceptions import PrivacyBudgetExceeded
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     DropoutModel,
     FederatedMeanQuery,
     NetworkModel,
@@ -27,10 +27,9 @@ from repro.privacy import BitMeter, PrivacyAccountant
 
 def _population(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        ClientDevice(i, np.clip(rng.normal(200.0, 40.0, rng.integers(1, 4)), 0.0, None))
-        for i in range(n)
-    ]
+    return ClientBatch.from_multisets(
+        [np.clip(rng.normal(200.0, 40.0, rng.integers(1, 4)), 0.0, None) for _ in range(n)]
+    )
 
 
 def _traced_run(query, population, seed=0):

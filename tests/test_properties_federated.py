@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FixedPointEncoder
+from repro.exceptions import CohortTooSmallError
 from repro.federated import (
     BitReport,
-    ClientDevice,
+    ClientBatch,
     CohortSelector,
     StreamingAggregator,
+    attribute_equals,
     decode_batch,
     decode_report,
     encode_batch,
@@ -110,7 +112,7 @@ class TestElicitationProperties:
     )
     def test_ground_truth_in_population_hull(self, populations):
         arrays = [np.array(p) for p in populations]
-        truth = ground_truth_mean(arrays, "sample")
+        truth = ground_truth_mean(ClientBatch.from_multisets(arrays), "sample")
         lo = min(a.min() for a in arrays)
         hi = max(a.max() for a in arrays)
         assert lo - 1e-9 <= truth <= hi + 1e-9
@@ -118,15 +120,27 @@ class TestElicitationProperties:
 
 class TestCohortProperties:
     @given(
-        n=st.integers(min_value=1, max_value=200),
-        cohort_size=st.integers(min_value=1, max_value=250),
+        geo=st.lists(st.sampled_from(["us", "eu", "apac"]), min_size=1, max_size=200),
+        filtered=st.booleans(),
+        cohort_size=st.none() | st.integers(min_value=1, max_value=250),
+        min_cohort_size=st.integers(min_value=1, max_value=30),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=40)
-    def test_selection_invariants(self, n, cohort_size, seed):
-        population = [ClientDevice(i, [float(i)]) for i in range(n)]
-        cohort = CohortSelector().select(population, cohort_size=cohort_size, rng=seed)
-        ids = [c.client_id for c in cohort]
-        assert len(cohort) == min(cohort_size, n)     # never over-selects
-        assert len(set(ids)) == len(ids)              # no duplicates
-        assert set(ids) <= set(range(n))              # only real clients
+    @settings(max_examples=80)
+    def test_selection_invariants(self, geo, filtered, cohort_size, min_cohort_size, seed):
+        geo = np.array(geo)
+        population = ClientBatch.from_values(np.arange(geo.size), attributes={"geo": geo})
+        eligibility = attribute_equals("geo", "us") if filtered else None
+        eligible = int(np.count_nonzero(geo == "us")) if filtered else geo.size
+        selector = CohortSelector(min_cohort_size=min_cohort_size)
+        if eligible < min_cohort_size or (cohort_size or eligible) < min_cohort_size:
+            with pytest.raises(CohortTooSmallError):
+                selector.select_indices(population, eligibility, cohort_size, seed)
+            return
+        positions = selector.select_indices(population, eligibility, cohort_size, seed)
+        expected = eligible if cohort_size is None else min(cohort_size, eligible)
+        assert positions.size == expected                        # never over-selects
+        assert np.unique(positions).size == positions.size       # no duplicates
+        assert ((positions >= 0) & (positions < geo.size)).all()  # only real clients
+        if filtered:
+            assert (geo[positions] == "us").all()                # only eligible ones

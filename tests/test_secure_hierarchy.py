@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import FixedPointEncoder
 from repro.exceptions import ConfigurationError, RoundFailedError, SecureAggregationError
-from repro.federated import ClientDevice, DropoutModel, FederatedMeanQuery
+from repro.federated import ClientBatch, DropoutModel, FederatedMeanQuery
 from repro.federated.faults import FaultEvent, FaultSchedule
 from repro.federated.secure_agg import (
     SecureAggregationSession,
@@ -41,7 +41,7 @@ def encoder():
 
 
 def make_population(n, value=170.0):
-    return [ClientDevice(i, [value]) for i in range(n)]
+    return ClientBatch.from_values(np.full(n, value))
 
 
 class TestShardBounds:

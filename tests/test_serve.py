@@ -27,7 +27,7 @@ from repro.core.protocol import bit_means_from_stats
 from repro.core.sampling import central_assignment
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import (
-    ClientDevice,
+    ClientBatch,
     ClientFleet,
     EmulationProfile,
     FederatedMeanQuery,
@@ -71,12 +71,11 @@ class TestLoopbackParity:
         with instrumented(metrics=served_metrics):
             served, fleet = run_loopback(cfg, values, fleet_seed=3)
 
-        population = [ClientDevice(i, [float(v)]) for i, v in enumerate(values)]
         in_process_metrics = MetricsRegistry()
         with instrumented(metrics=in_process_metrics):
             in_process = FederatedMeanQuery(
                 FixedPointEncoder.for_integers(10), mode="basic"
-            ).run(population, rng=cfg.seed)
+            ).run(ClientBatch.from_values(values), rng=cfg.seed)
         twin = in_process_estimate(values, cfg, fleet_seed=3)
 
         assert served.estimate.value == in_process.value

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import BitSamplingSchedule, FixedPointEncoder
-from repro.federated import ClientDevice, DropoutModel, FederatedMeanQuery
+from repro.federated import ClientBatch, DropoutModel, FederatedMeanQuery
 from repro.federated.server import RoundOutcome
 
 
 def make_population(n=500, value=100.0):
-    return [ClientDevice(i, [value]) for i in range(n)]
+    return ClientBatch.from_values(np.full(n, value))
 
 
 @pytest.fixture

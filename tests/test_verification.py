@@ -34,6 +34,7 @@ from repro.verification.oracles import (
     adaptive_unbiasedness_oracle,
     basic_unbiasedness_oracle,
     basic_variance_bound_oracle,
+    chunked_twin_oracle,
     federated_core_twin_oracle,
     rr_debias_oracle,
     secure_agg_oracle,
@@ -305,6 +306,22 @@ class TestInjectedBiasIsCaught:
         honest = basic_unbiasedness_oracle(seed=11, n_reps=120, n_clients=256)
         assert honest.passed
         assert biased.p_value < honest.p_value
+
+    def test_chunk_dependent_collection_fails_chunked_twin(self, monkeypatch):
+        from repro.federated import server
+
+        assert chunked_twin_oracle(seed=11).passed
+        collect = server.collect_client_reports
+
+        def drops_last_client_when_chunked(values, encoder, assignment, *args, chunk=None):
+            if chunk is not None:
+                values, assignment = values[:-1], assignment[:-1]
+            return collect(values, encoder, assignment, *args, chunk=chunk)
+
+        monkeypatch.setattr(server, "collect_client_reports", drops_last_client_when_chunked)
+        result = chunked_twin_oracle(seed=11)
+        assert not result.passed
+        assert "chunk=37 diverged" in result.detail
 
 
 # ----------------------------------------------------------------------
